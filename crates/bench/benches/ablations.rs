@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use obiwan_bench::workload::payload_list;
 use obiwan_core::demo::PayloadNode;
-use obiwan_core::{ClassRegistry, ObiObject, ObiValue, ObiWorld, ObjRef, ReplicationMode};
+use obiwan_core::{ClassRegistry, ObiValue, ObiWorld, ObjRef, ReplicationMode};
 
 fn bench_swizzle_fast_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("swizzle");
@@ -85,7 +85,7 @@ fn bench_registry_decode(c: &mut Criterion) {
     let registry = ClassRegistry::new();
     PayloadNode::register(&registry);
     for size in [64usize, 4096] {
-        let state = PayloadNode::sized(1, size).state();
+        let state = obiwan_core::object::encode_state(&PayloadNode::sized(1, size));
         group.bench_with_input(BenchmarkId::from_parameter(size), &state, |b, state| {
             b.iter(|| registry.decode("PayloadNode", state).unwrap())
         });

@@ -88,16 +88,42 @@ pub use world::{ObiWorld, NAME_SERVER_SITE};
 pub use obiwan_rmi::{BreakerConfig, BreakerState, Deadline, RetryPolicy};
 pub use obiwan_store::{Durable, DurableOptions, RecoveredState};
 pub use obiwan_util::{ObiError, Result};
-pub use obiwan_wire::{JoinInfo, ObiValue};
+pub use obiwan_wire::{Decoder, Encoder, JoinInfo, ObiValue};
 
 /// Implemented by `obi_class!`-generated types: materialization from
 /// serialized state.
 pub trait DecodableObject: Sized {
     /// Restores an instance from the state map produced by
-    /// [`ObiObject::state`].
+    /// [`ObiObject::state`] — the generic path.
     ///
     /// # Errors
     ///
     /// [`ObiError::Decode`] when fields are missing or mis-shaped.
     fn decode_state(state: &ObiValue) -> Result<Self>;
+
+    /// Restores an instance straight from encoded state laid out exactly as
+    /// [`ObiObject::encode_state`] writes it: a map of every field, in
+    /// declaration order, each with its canonical tag.
+    ///
+    /// # Errors
+    ///
+    /// [`ObiError::Decode`] on any other layout, even one
+    /// [`decode_state`](DecodableObject::decode_state) would accept.
+    fn decode_canonical(dec: &mut Decoder<'_>) -> Result<Self>;
+
+    /// Restores an instance from encoded state — the entry point class
+    /// registries call. Reads the canonical layout directly; any other
+    /// input (fields reordered, extra, missing or oddly tagged) falls back
+    /// to [`Decoder::take_value`] plus
+    /// [`decode_state`](DecodableObject::decode_state), so the result, or
+    /// the error, is always the generic path's. Like that path, it ignores
+    /// bytes after the state map.
+    ///
+    /// # Errors
+    ///
+    /// [`ObiError::Decode`] when the generic path rejects `state`.
+    fn decode_bytes(state: &[u8]) -> Result<Self> {
+        Self::decode_canonical(&mut Decoder::new(state))
+            .or_else(|_| Self::decode_state(&Decoder::new(state).take_value()?))
+    }
 }

@@ -5,7 +5,7 @@
 //! classes. Rust has no reflection, so the augmentation happens at macro
 //! expansion time instead: the programmer declares fields and methods, and
 //! the macro generates the struct, constructors, the full
-//! [`ObiObject`](crate::ObiObject) implementation (state serialization,
+//! [`ObiObject`](crate::ObiObject) implementation (a typed state codec,
 //! out-edge enumeration, dynamic dispatch) and a registry hook.
 //!
 //! ```
@@ -38,6 +38,27 @@
 //! Pair::register(&registry);
 //! assert!(registry.knows("Pair"));
 //! ```
+//!
+//! # The typed state codec
+//!
+//! Like obicomp's generated serializers, the macro emits per-class codec
+//! code. [`ObiObject::encode_state`](crate::ObiObject::encode_state) writes
+//! the state map header and then each field's name and tagged value, in
+//! declaration order, straight into the [`Encoder`](crate::Encoder);
+//! [`DecodableObject::decode_canonical`](crate::DecodableObject::decode_canonical)
+//! reads that layout straight back, comparing keys in place. Neither builds
+//! an [`ObiValue`](crate::ObiValue) tree.
+//!
+//! The generic path — [`ObiObject::state`](crate::ObiObject::state) plus
+//! [`DecodableObject::decode_state`](crate::DecodableObject::decode_state) —
+//! remains only as the fallback: on any non-canonical input (fields
+//! reordered, extra, missing or oddly tagged) the registry's one decode
+//! entry, [`DecodableObject::decode_bytes`](crate::DecodableObject::decode_bytes),
+//! hands the bytes to it, so the outcome is always the generic one.
+//!
+//! The invariant: `encode_state` bytes equal `put_value(&state())` bytes.
+//! Wire frames, WAL records and the state fingerprints that tie a put
+//! intent to its state all rely on it.
 //!
 //! Method bodies receive three names chosen by the caller: the object
 //! (`this` above), the [`InvokeCtx`](crate::InvokeCtx), and the argument
@@ -80,7 +101,7 @@ macro_rules! obi_class {
                     Self::CLASS,
                     ::std::sync::Arc::new(|state| {
                         let decoded =
-                            <$name as $crate::DecodableObject>::decode_state(state)?;
+                            <$name as $crate::DecodableObject>::decode_bytes(state)?;
                         Ok(Box::new(decoded) as Box<dyn $crate::ObiObject>)
                     }),
                 );
@@ -93,6 +114,27 @@ macro_rules! obi_class {
                     $(
                         $fname: $crate::value_fields::field_from_map::<$fty>(
                             state,
+                            stringify!($fname),
+                        )?,
+                    )*
+                })
+            }
+
+            fn decode_canonical(dec: &mut $crate::Decoder<'_>) -> $crate::Result<Self> {
+                const FIELDS: &[&str] = &[$( stringify!($fname) ),*];
+                let len = dec.take_map_header()?;
+                if len != FIELDS.len() {
+                    return Err($crate::ObiError::Decode(format!(
+                        "expected {} fields, got {len}",
+                        FIELDS.len()
+                    )));
+                }
+                // Struct-literal fields evaluate in the order written, which
+                // is declaration order — the order `encode_state` wrote.
+                Ok(Self {
+                    $(
+                        $fname: $crate::value_fields::field_from_decoder::<$fty>(
+                            dec,
                             stringify!($fname),
                         )?,
                     )*
@@ -114,6 +156,14 @@ macro_rules! obi_class {
                         ),
                     )*
                 ])
+            }
+
+            fn encode_state(&self, enc: &mut $crate::Encoder) {
+                enc.put_map_header(<[&str]>::len(&[$( stringify!($fname) ),*]));
+                $(
+                    enc.put_str(stringify!($fname));
+                    $crate::value_fields::FieldValue::encode_into(&self.$fname, enc);
+                )*
             }
 
             fn refs(&self) -> Vec<$crate::ObjRef> {

@@ -8,9 +8,11 @@
 
 use crate::objref::ObjRef;
 use crate::process::InvokeCtx;
+use bytes::Bytes;
 use obiwan_util::{ObiError, Result};
 use obiwan_wire::{Encoder, ObiValue};
 use obiwan_util::sync::RwLock;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -18,8 +20,10 @@ use std::sync::Arc;
 ///
 /// The contract mirrors what `obicomp` generated for Java classes:
 ///
-/// * [`state`](ObiObject::state) / a registered decode function — the
-///   serialization pair (Java serialization's role);
+/// * [`encode_state`](ObiObject::encode_state) / a registered decode
+///   function — the serialization pair (Java serialization's role), with
+///   [`state`](ObiObject::state) as the generic, tree-shaped view of the
+///   same fields;
 /// * [`refs`](ObiObject::refs) — the out-edges, which drive incremental
 ///   graph replication;
 /// * [`invoke`](ObiObject::invoke) — dynamic dispatch, because objects may
@@ -49,18 +53,59 @@ pub trait ObiObject: Send + Sync {
         args: &ObiValue,
     ) -> Result<ObiValue>;
 
-    /// Size in bytes of the serialized state; used for cost accounting.
+    /// Appends the serialized state to `enc`. The bytes must equal
+    /// `enc.put_value(&self.state())`: the wire, WAL records and put-intent
+    /// fingerprints all depend on it.
     ///
-    /// The default encodes [`state`](ObiObject::state) and measures it.
-    fn payload_size(&self) -> usize {
-        let mut enc = Encoder::new();
+    /// The default does exactly that; [`obi_class!`](crate::obi_class)
+    /// generates a direct encoder that builds no [`ObiValue`].
+    fn encode_state(&self, enc: &mut Encoder) {
         enc.put_value(&self.state());
-        enc.len()
+    }
+
+    /// Size in bytes of the serialized state; used for cost accounting.
+    fn payload_size(&self) -> usize {
+        with_encoded_state(self, <[u8]>::len)
     }
 }
 
+/// Objects whose state encodes larger than this do not leave their buffer
+/// behind as the thread's scratch encoder.
+const SCRATCH_KEEP_BYTES: usize = 64 * 1024;
+
+thread_local! {
+    static SCRATCH: Cell<Encoder> = Cell::new(Encoder::new());
+}
+
+/// Runs `f` over `object`'s serialized state, encoded into this thread's
+/// reusable scratch encoder — the one place replica state is serialized.
+fn with_encoded_state<O, R>(object: &O, f: impl FnOnce(&[u8]) -> R) -> R
+where
+    O: ObiObject + ?Sized,
+{
+    SCRATCH.with(|cell| {
+        // Taking the encoder out (not borrowing it) keeps a nested call —
+        // an `encode_state` that serializes another object — safe: it
+        // just gets a fresh encoder.
+        let mut enc = cell.take();
+        enc.clear();
+        object.encode_state(&mut enc);
+        let out = f(enc.as_slice());
+        if enc.len() <= SCRATCH_KEEP_BYTES {
+            cell.set(enc);
+        }
+        out
+    })
+}
+
+/// `object`'s serialized state, copied out of the scratch encoder at exact
+/// size.
+pub fn encode_state(object: &dyn ObiObject) -> Bytes {
+    with_encoded_state(object, Bytes::copy_from_slice)
+}
+
 /// A function materializing an object from its serialized state.
-pub type DecodeFn = Arc<dyn Fn(&ObiValue) -> Result<Box<dyn ObiObject>> + Send + Sync>;
+pub type DecodeFn = Arc<dyn Fn(&[u8]) -> Result<Box<dyn ObiObject>> + Send + Sync>;
 
 /// Maps class names to decode functions — each site's "classpath".
 ///
@@ -106,13 +151,14 @@ impl ClassRegistry {
         self.classes.read().contains_key(class)
     }
 
-    /// Materializes an object of `class` from `state`.
+    /// Materializes an object of `class` from its serialized `state` — the
+    /// one decode entry for replica state.
     ///
     /// # Errors
     ///
     /// [`ObiError::Decode`] when the class is unknown or the state does not
     /// match the class's fields.
-    pub fn decode(&self, class: &str, state: &ObiValue) -> Result<Box<dyn ObiObject>> {
+    pub fn decode(&self, class: &str, state: &[u8]) -> Result<Box<dyn ObiObject>> {
         let decode = self
             .classes
             .read()
@@ -149,7 +195,7 @@ mod tests {
         assert!(!reg.knows("Nope"));
 
         let item = LinkedItem::new(7, "x");
-        let decoded = reg.decode("LinkedItem", &item.state()).unwrap();
+        let decoded = reg.decode("LinkedItem", &encode_state(&item)).unwrap();
         assert_eq!(decoded.class_name(), "LinkedItem");
         assert_eq!(decoded.state(), item.state());
     }
@@ -157,7 +203,7 @@ mod tests {
     #[test]
     fn unknown_class_is_a_decode_error() {
         let reg = ClassRegistry::new();
-        let err = match reg.decode("Ghost", &ObiValue::Null) {
+        let err = match reg.decode("Ghost", &[0]) {
             Err(e) => e,
             Ok(_) => panic!("decoded an unknown class"),
         };

@@ -20,7 +20,7 @@ use crate::hooks::{AcceptAll, ConsistencyHook};
 use crate::object::{ClassRegistry, ObiObject};
 use crate::objref::ObjRef;
 use crate::proxy::{ProxyIn, ProxyOut};
-use crate::replication::{build_batch, build_batch_many, ReplicationMode};
+use crate::replication::{build_batch, build_batch_many, replica_state, ReplicationMode};
 use crate::shards::ShardedSpace;
 use crate::space::{GcStats, ObjectEntry, ObjectMeta, ReplicaKind, Resolution, SpaceView};
 use obiwan_net::Transport;
@@ -34,7 +34,7 @@ use obiwan_util::{
     Clock, ClusterId, CostModel, LatencyKind, Metrics, ObiError, ObjId, RequestId, Result, SiteId,
 };
 use obiwan_wire::{
-    Decoder, Encoder, JoinInfo, Message, NameOp, ObiValue, ReplicaBatch, ReplicaState, WireMode,
+    JoinInfo, Message, NameOp, ObiValue, ReplicaBatch, ReplicaState, WireMode,
 };
 use obiwan_util::sync::{Mutex, MutexGuard, RwLock};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -431,9 +431,7 @@ fn materialize_batch_inner(
             _ => {}
         }
         shared.clock.charge_cpu(shared.costs.serialize(state.state.len()));
-        let mut dec = Decoder::new(&state.state);
-        let value = dec.take_value()?;
-        let object = shared.registry.decode(&state.class, &value)?;
+        let object = shared.registry.decode(&state.class, &state.state)?;
         let mut meta = ObjectMeta::replica(state.id, provider, state.version);
         meta.cluster = batch.cluster;
         shared.clock.charge_cpu(shared.costs.replica_create);
@@ -566,19 +564,7 @@ fn queue_notifications(
         return;
     }
     let push_state = if subscribers.iter().any(|s| s.push) {
-        shared
-            .space
-            .with_object(id, |o, m| ReplicaState {
-                id,
-                class: o.class_name().to_owned(),
-                version: m.version,
-                state: {
-                    let mut enc = Encoder::new();
-                    enc.put_value(&o.state());
-                    enc.finish()
-                },
-            })
-            .ok()
+        replica_state_of(&shared.space, id).ok()
     } else {
         None
     };
@@ -722,9 +708,7 @@ impl ObiProcess {
         self.with_inner(|_inner| {
             let mut installed = 0usize;
             for (id, (provider, state)) in &recovered.dirty {
-                let mut dec = Decoder::new(&state.state);
-                let value = dec.take_value()?;
-                let object = self.shared.registry.decode(&state.class, &value)?;
+                let object = self.shared.registry.decode(&state.class, &state.state)?;
                 // A dirty replica of a handed-off root re-targets the
                 // successor, not the provider recorded before the handoff.
                 let provider = match recovered.handoffs.get(id) {
@@ -2073,16 +2057,7 @@ fn reachable_frontier<S: SpaceView>(space: &S, root: ObjId) -> Vec<ObjId> {
 }
 
 fn replica_state_of(space: &ShardedSpace, id: ObjId) -> Result<ReplicaState> {
-    space.with_object(id, |o, m| ReplicaState {
-        id,
-        class: o.class_name().to_owned(),
-        version: m.version,
-        state: {
-            let mut enc = Encoder::new();
-            enc.put_value(&o.state());
-            enc.finish()
-        },
-    })
+    space.with_object(id, |o, m| replica_state(id, o, m))
 }
 
 // ---------------------------------------------------------------------------
@@ -2197,10 +2172,7 @@ fn apply_one_way(inner: &mut ProcessInner, shared: &ProcessShared, _from: SiteId
                 let ReplicaKind::Replica { provider } = meta.kind else {
                     continue;
                 };
-                let Ok(value) = Decoder::new(&state.state).take_value() else {
-                    continue;
-                };
-                let Ok(object) = shared.registry.decode(&state.class, &value) else {
+                let Ok(object) = shared.registry.decode(&state.class, &state.state) else {
                     continue;
                 };
                 let mut new_meta = ObjectMeta::replica(state.id, provider, state.version);
@@ -2294,8 +2266,7 @@ impl RmiService for ProcessService {
             // Phase 2: apply.
             let mut versions = Vec::with_capacity(entries.len());
             for entry in &entries {
-                let value = Decoder::new(&entry.state).take_value()?;
-                let object = self.shared.registry.decode(&entry.class, &value)?;
+                let object = self.shared.registry.decode(&entry.class, &entry.state)?;
                 let new_version = {
                     let meta = self
                         .shared
@@ -2339,8 +2310,7 @@ impl RmiService for ProcessService {
                         continue;
                     }
                 }
-                let value = Decoder::new(&entry.state).take_value()?;
-                let object = self.shared.registry.decode(&entry.class, &value)?;
+                let object = self.shared.registry.decode(&entry.class, &entry.state)?;
                 let mut meta = ObjectMeta::master(entry.id);
                 meta.version = entry.version;
                 self.shared.space.insert_object(ObjectEntry { object, meta });

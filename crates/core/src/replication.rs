@@ -1,9 +1,11 @@
 //! Provider-side replication: building replica batches (paper §2.2, §4.3).
 
-use crate::space::{Resolution, SpaceView};
+use crate::object::{encode_state, ObiObject};
+use crate::objref::ObjRef;
+use crate::space::{ObjectMeta, Resolution, SpaceView};
 use obiwan_util::{ClusterId, ObiError, ObjId, Result};
-use obiwan_wire::{Encoder, FrontierEdge, ReplicaBatch, ReplicaState, WireMode};
-use std::collections::HashSet;
+use obiwan_wire::{FrontierEdge, ReplicaBatch, ReplicaState, WireMode};
+use std::collections::{HashSet, VecDeque};
 
 /// The application-facing replication mode (the `mode` argument of
 /// `IProvideRemote::get(mode)`).
@@ -156,68 +158,50 @@ pub fn build_batch_many<S: SpaceView>(
         .objects_per_step()
         .map_or(usize::MAX, |step| step.saturating_mul(live.len()));
 
-    let mut included: Vec<ObjId> = Vec::new();
-    let mut queue: std::collections::VecDeque<ObjId> = live.into_iter().collect();
-
-    // BFS over objects this site can actually provide.
-    while let Some(id) = queue.pop_front() {
-        included.push(id);
-        if included.len() >= limit {
-            break;
-        }
-        let refs = space.with_object(id, |o, _| o.refs())?;
-        for r in refs {
-            let target = r.id();
-            if included_set.contains(&target) {
-                continue;
+    // BFS over objects this site can actually provide. Each one is read
+    // exactly once: its out-edges and its replica state come from the same
+    // visit, so it cannot change (or turn busy) between the two.
+    let mut replicas: Vec<ReplicaState> = Vec::new();
+    let mut edges: Vec<ObjRef> = Vec::new();
+    let mut queue: VecDeque<ObjId> = live.into_iter().collect();
+    while replicas.len() < limit {
+        let Some(id) = queue.pop_front() else { break };
+        let (state, refs) = space.with_object(id, |o, m| (replica_state(id, o, m), o.refs()))?;
+        replicas.push(state);
+        if replicas.len() < limit {
+            for r in &refs {
+                let target = r.id();
+                if !included_set.contains(&target)
+                    && matches!(space.resolve(target), Resolution::Object(_))
+                {
+                    included_set.insert(target);
+                    queue.push_back(target);
+                }
             }
-            if matches!(space.resolve(target), Resolution::Object(_)) {
-                included_set.insert(target);
-                queue.push_back(target);
-            }
         }
+        edges.extend(refs);
     }
 
     // Remaining queue entries were admitted but not materialized; they are
     // frontier, together with edges out of materialized objects.
-    let materialized: HashSet<ObjId> = included.iter().copied().collect();
+    for id in &queue {
+        included_set.remove(id);
+    }
+    let materialized = included_set;
     let mut frontier: Vec<FrontierEdge> = Vec::new();
     let mut frontier_seen: HashSet<ObjId> = HashSet::new();
-    let mut add_frontier = |space: &S, target: ObjId, out: &mut Vec<FrontierEdge>| {
-        if frontier_seen.insert(target) {
-            let class = match space.resolve(target) {
-                Resolution::Object(_) | Resolution::Busy => space
-                    .with_object(target, |o, _| o.class_name().to_owned())
-                    .unwrap_or_default(),
-                Resolution::Proxy(p) => p.class,
-                Resolution::Absent => return, // dangling reference: skip
-            };
-            out.push(FrontierEdge { target, class });
+    for target in edges.iter().map(|r| r.id()) {
+        if materialized.contains(&target) || !frontier_seen.insert(target) {
+            continue;
         }
-    };
-    for id in &included {
-        let refs = space.with_object(*id, |o, _| o.refs())?;
-        for r in refs {
-            let target = r.id();
-            if !materialized.contains(&target) {
-                add_frontier(space, target, &mut frontier);
-            }
-        }
-    }
-
-    let mut replicas = Vec::with_capacity(included.len());
-    for id in &included {
-        let state = space.with_object(*id, |o, m| ReplicaState {
-            id: *id,
-            class: o.class_name().to_owned(),
-            version: m.version,
-            state: {
-                let mut enc = Encoder::new();
-                enc.put_value(&o.state());
-                enc.finish()
-            },
-        })?;
-        replicas.push(state);
+        let class = match space.resolve(target) {
+            Resolution::Object(_) | Resolution::Busy => space
+                .with_object(target, |o, _| o.class_name().to_owned())
+                .unwrap_or_default(),
+            Resolution::Proxy(p) => p.class,
+            Resolution::Absent => continue, // dangling reference: skip
+        };
+        frontier.push(FrontierEdge { target, class });
     }
 
     let cluster = if mode.is_cluster() {
@@ -232,6 +216,17 @@ pub fn build_batch_many<S: SpaceView>(
         frontier,
         cluster,
     })
+}
+
+/// The wire form of one live object: its identity, class, version and
+/// serialized state — what batches, update pushes, puts and the WAL carry.
+pub(crate) fn replica_state(id: ObjId, object: &dyn ObiObject, meta: &ObjectMeta) -> ReplicaState {
+    ReplicaState {
+        id,
+        class: object.class_name().to_owned(),
+        version: meta.version,
+        state: encode_state(object),
+    }
 }
 
 #[cfg(test)]

@@ -1,13 +1,14 @@
 //! Field (de)serialization helpers used by generated classes.
 //!
 //! Every field type usable inside [`obi_class!`](crate::obi_class) implements
-//! [`FieldValue`]: conversion to/from [`ObiValue`] plus enumeration of the
-//! object references it contains.
+//! [`FieldValue`]: conversion to/from [`ObiValue`], the typed codec that
+//! writes and reads the same bytes without building one, and enumeration of
+//! the object references it contains.
 
 use crate::objref::ObjRef;
 use bytes::Bytes;
 use obiwan_util::{ObiError, Result};
-use obiwan_wire::ObiValue;
+use obiwan_wire::{Decoder, Encoder, ObiValue};
 
 /// A type that can live in an OBIWAN object field.
 pub trait FieldValue: Sized {
@@ -20,6 +21,28 @@ pub trait FieldValue: Sized {
     ///
     /// [`ObiError::Decode`] when the value's shape does not match.
     fn from_value(v: &ObiValue) -> Result<Self>;
+
+    /// Writes the field as a tagged value: exactly the bytes
+    /// `enc.put_value(&self.to_value())` writes.
+    ///
+    /// The default does just that; every impl in this module writes
+    /// directly instead.
+    fn encode_into(&self, enc: &mut Encoder) {
+        enc.put_value(&self.to_value());
+    }
+
+    /// Reads a field written by [`encode_into`](FieldValue::encode_into).
+    ///
+    /// The default reads the tagged value and converts it with
+    /// [`from_value`](FieldValue::from_value); every impl in this module
+    /// reads directly instead.
+    ///
+    /// # Errors
+    ///
+    /// [`ObiError::Decode`] on malformed input or a mismatched shape.
+    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self> {
+        Self::from_value(&dec.take_value()?)
+    }
 
     /// Appends every [`ObjRef`] contained in the field to `out`.
     fn collect_obj_refs(&self, out: &mut Vec<ObjRef>) {
@@ -39,6 +62,14 @@ impl FieldValue for bool {
     fn from_value(v: &ObiValue) -> Result<Self> {
         v.as_bool().ok_or_else(|| mismatch("bool", v))
     }
+
+    fn encode_into(&self, enc: &mut Encoder) {
+        enc.put_bool_value(*self);
+    }
+
+    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self> {
+        dec.take_bool_value()
+    }
 }
 
 impl FieldValue for i64 {
@@ -48,6 +79,14 @@ impl FieldValue for i64 {
 
     fn from_value(v: &ObiValue) -> Result<Self> {
         v.as_i64().ok_or_else(|| mismatch("i64", v))
+    }
+
+    fn encode_into(&self, enc: &mut Encoder) {
+        enc.put_i64_value(*self);
+    }
+
+    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self> {
+        dec.take_i64_value()
     }
 }
 
@@ -61,6 +100,14 @@ impl FieldValue for u64 {
             .map(|x| x as u64)
             .ok_or_else(|| mismatch("i64", v))
     }
+
+    fn encode_into(&self, enc: &mut Encoder) {
+        enc.put_i64_value(*self as i64);
+    }
+
+    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self> {
+        dec.take_i64_value().map(|x| x as u64)
+    }
 }
 
 impl FieldValue for f64 {
@@ -70,6 +117,14 @@ impl FieldValue for f64 {
 
     fn from_value(v: &ObiValue) -> Result<Self> {
         v.as_f64().ok_or_else(|| mismatch("f64", v))
+    }
+
+    fn encode_into(&self, enc: &mut Encoder) {
+        enc.put_f64_value(*self);
+    }
+
+    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self> {
+        dec.take_f64_value()
     }
 }
 
@@ -81,6 +136,14 @@ impl FieldValue for String {
     fn from_value(v: &ObiValue) -> Result<Self> {
         v.as_str().map(str::to_owned).ok_or_else(|| mismatch("str", v))
     }
+
+    fn encode_into(&self, enc: &mut Encoder) {
+        enc.put_str_value(self);
+    }
+
+    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self> {
+        dec.take_str_value().map(str::to_owned)
+    }
 }
 
 impl FieldValue for Bytes {
@@ -91,6 +154,14 @@ impl FieldValue for Bytes {
     fn from_value(v: &ObiValue) -> Result<Self> {
         v.as_bytes().cloned().ok_or_else(|| mismatch("bytes", v))
     }
+
+    fn encode_into(&self, enc: &mut Encoder) {
+        enc.put_bytes_value(self);
+    }
+
+    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self> {
+        dec.take_bytes_value().map(Bytes::copy_from_slice)
+    }
 }
 
 impl FieldValue for ObjRef {
@@ -100,6 +171,14 @@ impl FieldValue for ObjRef {
 
     fn from_value(v: &ObiValue) -> Result<Self> {
         v.as_ref_id().map(ObjRef::new).ok_or_else(|| mismatch("ref", v))
+    }
+
+    fn encode_into(&self, enc: &mut Encoder) {
+        enc.put_ref_value(self.id());
+    }
+
+    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self> {
+        dec.take_ref_value().map(ObjRef::new)
     }
 
     fn collect_obj_refs(&self, out: &mut Vec<ObjRef>) {
@@ -123,6 +202,21 @@ impl<T: FieldValue> FieldValue for Option<T> {
         }
     }
 
+    fn encode_into(&self, enc: &mut Encoder) {
+        match self {
+            None => enc.put_null(),
+            Some(inner) => inner.encode_into(enc),
+        }
+    }
+
+    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self> {
+        if dec.take_null() {
+            Ok(None)
+        } else {
+            T::decode_from(dec).map(Some)
+        }
+    }
+
     fn collect_obj_refs(&self, out: &mut Vec<ObjRef>) {
         if let Some(inner) = self {
             inner.collect_obj_refs(out);
@@ -142,6 +236,22 @@ impl<T: FieldValue> FieldValue for Vec<T> {
         }
     }
 
+    fn encode_into(&self, enc: &mut Encoder) {
+        enc.put_list_header(self.len());
+        for item in self {
+            item.encode_into(enc);
+        }
+    }
+
+    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self> {
+        let len = dec.take_list_header()?;
+        let mut items = Vec::with_capacity(len.min(1024));
+        for _ in 0..len {
+            items.push(T::decode_from(dec)?);
+        }
+        Ok(items)
+    }
+
     fn collect_obj_refs(&self, out: &mut Vec<ObjRef>) {
         for item in self {
             item.collect_obj_refs(out);
@@ -156,6 +266,14 @@ impl FieldValue for ObiValue {
 
     fn from_value(v: &ObiValue) -> Result<Self> {
         Ok(v.clone())
+    }
+
+    fn encode_into(&self, enc: &mut Encoder) {
+        enc.put_value(self);
+    }
+
+    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self> {
+        dec.take_value()
     }
 
     fn collect_obj_refs(&self, out: &mut Vec<ObjRef>) {
@@ -175,6 +293,24 @@ pub fn field_from_map<T: FieldValue>(state: &ObiValue, key: &str) -> Result<T> {
         .get(key)
         .ok_or_else(|| ObiError::Decode(format!("missing field `{key}`")))?;
     T::from_value(v)
+}
+
+/// Reads the next entry of an encoded state map, which must be the field
+/// `key` — the typed counterpart of [`field_from_map`]. The key is compared
+/// in place, never allocated.
+///
+/// # Errors
+///
+/// [`ObiError::Decode`] when the entry has another key, or its value is
+/// malformed or mis-shaped.
+pub fn field_from_decoder<T: FieldValue>(dec: &mut Decoder<'_>, key: &str) -> Result<T> {
+    let found = dec.take_str_ref()?;
+    if found != key {
+        return Err(ObiError::Decode(format!(
+            "expected field `{key}`, got `{found}`"
+        )));
+    }
+    T::decode_from(dec)
 }
 
 #[cfg(test)]

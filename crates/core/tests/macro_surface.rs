@@ -7,6 +7,7 @@
 
 use bytes::Bytes;
 use obiwan_core::demo::Counter;
+use obiwan_core::object::encode_state;
 use obiwan_core::{
     obi_class, ClassRegistry, DecodableObject, ObiObject, ObiValue, ObiWorld, ObjRef,
     ReplicationMode,
@@ -99,6 +100,43 @@ fn every_field_type_roundtrips_through_state() {
 }
 
 #[test]
+fn every_field_type_has_a_byte_identical_typed_codec() {
+    let k = sample_kitchen();
+    let mut generic = obiwan_core::Encoder::new();
+    generic.put_value(&k.state());
+    let typed = encode_state(&k);
+    assert_eq!(typed.as_slice(), generic.as_slice());
+    let mut dec = obiwan_core::Decoder::new(&typed);
+    assert_eq!(Kitchen::decode_canonical(&mut dec).unwrap(), k);
+    assert!(dec.is_exhausted());
+    assert_eq!(Kitchen::decode_bytes(&typed).unwrap(), k);
+    // `None` in an `Option<Vec<_>>` and an empty `ObiValue` field.
+    let sparse = Kitchen {
+        nested: None,
+        raw: ObiValue::Null,
+        ..sample_kitchen()
+    };
+    assert_eq!(
+        Kitchen::decode_bytes(&encode_state(&sparse)).unwrap(),
+        sparse
+    );
+}
+
+#[test]
+fn fieldless_classes_encode_an_empty_map() {
+    obi_class! {
+        pub class Empty {
+            fields {}
+        }
+    }
+    let bytes = encode_state(&Empty {});
+    let mut generic = obiwan_core::Encoder::new();
+    generic.put_value(&ObiValue::Map(Vec::new()));
+    assert_eq!(bytes.as_slice(), generic.as_slice());
+    assert_eq!(Empty::decode_bytes(&bytes).unwrap(), Empty {});
+}
+
+#[test]
 fn refs_cover_every_edge_bearing_field() {
     let k = sample_kitchen();
     let refs = k.refs();
@@ -113,7 +151,7 @@ fn registry_decode_through_generated_hook() {
     assert!(reg.knows(Kitchen::CLASS));
     assert_eq!(Kitchen::CLASS, "Kitchen");
     let k = sample_kitchen();
-    let decoded = reg.decode("Kitchen", &k.state()).unwrap();
+    let decoded = reg.decode("Kitchen", &encode_state(&k)).unwrap();
     assert_eq!(decoded.state(), k.state());
 }
 
@@ -210,7 +248,10 @@ fn generated_classes_coexist_with_demo_classes_in_one_registry() {
     assert_eq!(reg.len(), 8);
     // And a demo class still works.
     let c = Counter::new(2);
-    assert_eq!(reg.decode("Counter", &c.state()).unwrap().state(), c.state());
+    assert_eq!(
+        reg.decode("Counter", &encode_state(&c)).unwrap().state(),
+        c.state()
+    );
 }
 
 #[test]

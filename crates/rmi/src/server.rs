@@ -277,42 +277,35 @@ impl RmiServer {
                 let ReplicaBatch {
                     root,
                     replicas,
-                    frontier,
+                    mut frontier,
                     cluster,
                 } = batch;
-                let mut slices: Vec<ReplicaBatch> = replicas
-                    .chunks(per_chunk)
-                    .map(|s| ReplicaBatch {
-                        root,
-                        replicas: s.to_vec(),
-                        frontier: Vec::new(),
-                        cluster,
-                    })
-                    .collect();
                 // An empty batch still streams one (empty) chunk so the
-                // frontier below has a frame to ride on.
-                if slices.is_empty() {
-                    slices.push(ReplicaBatch {
-                        root,
-                        replicas: Vec::new(),
-                        frontier: Vec::new(),
-                        cluster,
-                    });
-                }
-                let total_chunks = slices.len() as u32;
-                if let Some(last) = slices.last_mut() {
-                    last.frontier = frontier;
-                }
-                for (index, batch) in slices.into_iter().enumerate() {
-                    if (index as u32) < resume_from {
+                // frontier has a frame to ride on. Replicas are moved into
+                // their chunks, never copied.
+                let total_chunks = replicas.len().div_ceil(per_chunk).max(1) as u32;
+                let mut rest = replicas.into_iter();
+                for index in 0..total_chunks {
+                    let replicas: Vec<_> = rest.by_ref().take(per_chunk).collect();
+                    if index < resume_from {
                         continue;
                     }
+                    let frontier = if index + 1 == total_chunks {
+                        std::mem::take(&mut frontier)
+                    } else {
+                        Vec::new()
+                    };
                     sink(
                         Message::GetManyChunk {
                             request,
-                            chunk_index: index as u32,
+                            chunk_index: index,
                             total_hint: total_chunks,
-                            batch,
+                            batch: ReplicaBatch {
+                                root,
+                                replicas,
+                                frontier,
+                                cluster,
+                            },
                         }
                         .encode(),
                     );

@@ -72,6 +72,16 @@ impl Encoder {
         self.buf.is_empty()
     }
 
+    /// The bytes written so far.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Discards everything written, keeping the allocation for reuse.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Consumes the encoder, returning the encoded bytes.
     pub fn finish(self) -> Bytes {
         self.buf.freeze()
@@ -79,7 +89,7 @@ impl Encoder {
 
     /// Writes a raw byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.extend_from_slice(&[v]);
+        self.buf.put_u8(v);
     }
 
     /// Writes an unsigned LEB128 varint.
@@ -143,45 +153,84 @@ impl Encoder {
     /// Writes a tagged [`ObiValue`], recursively.
     pub fn put_value(&mut self, v: &ObiValue) {
         match v {
-            ObiValue::Null => self.put_u8(TAG_NULL),
-            ObiValue::Bool(false) => self.put_u8(TAG_BOOL_FALSE),
-            ObiValue::Bool(true) => self.put_u8(TAG_BOOL_TRUE),
-            ObiValue::I64(x) => {
-                self.put_u8(TAG_I64);
-                self.put_i64(*x);
-            }
-            ObiValue::F64(x) => {
-                self.put_u8(TAG_F64);
-                self.put_f64(*x);
-            }
-            ObiValue::Str(s) => {
-                self.put_u8(TAG_STR);
-                self.put_str(s);
-            }
-            ObiValue::Bytes(b) => {
-                self.put_u8(TAG_BYTES);
-                self.put_bytes(b);
-            }
+            ObiValue::Null => self.put_null(),
+            ObiValue::Bool(b) => self.put_bool_value(*b),
+            ObiValue::I64(x) => self.put_i64_value(*x),
+            ObiValue::F64(x) => self.put_f64_value(*x),
+            ObiValue::Str(s) => self.put_str_value(s),
+            ObiValue::Bytes(b) => self.put_bytes_value(b),
             ObiValue::List(items) => {
-                self.put_u8(TAG_LIST);
-                self.put_varint(items.len() as u64);
+                self.put_list_header(items.len());
                 for item in items {
                     self.put_value(item);
                 }
             }
             ObiValue::Map(entries) => {
-                self.put_u8(TAG_MAP);
-                self.put_varint(entries.len() as u64);
+                self.put_map_header(entries.len());
                 for (k, item) in entries {
                     self.put_str(k);
                     self.put_value(item);
                 }
             }
-            ObiValue::Ref(id) => {
-                self.put_u8(TAG_REF);
-                self.put_obj_id(*id);
-            }
+            ObiValue::Ref(id) => self.put_ref_value(*id),
         }
+    }
+
+    // Typed value writers: each emits exactly the bytes `put_value` writes
+    // for the corresponding `ObiValue`, without building one.
+
+    /// Writes a tagged `Null`.
+    pub fn put_null(&mut self) {
+        self.put_u8(TAG_NULL);
+    }
+
+    /// Writes a tagged `Bool`.
+    pub fn put_bool_value(&mut self, v: bool) {
+        self.put_u8(if v { TAG_BOOL_TRUE } else { TAG_BOOL_FALSE });
+    }
+
+    /// Writes a tagged `I64`.
+    pub fn put_i64_value(&mut self, v: i64) {
+        self.put_u8(TAG_I64);
+        self.put_i64(v);
+    }
+
+    /// Writes a tagged `F64`.
+    pub fn put_f64_value(&mut self, v: f64) {
+        self.put_u8(TAG_F64);
+        self.put_f64(v);
+    }
+
+    /// Writes a tagged `Str`.
+    pub fn put_str_value(&mut self, s: &str) {
+        self.put_u8(TAG_STR);
+        self.put_str(s);
+    }
+
+    /// Writes a tagged `Bytes`.
+    pub fn put_bytes_value(&mut self, b: &[u8]) {
+        self.put_u8(TAG_BYTES);
+        self.put_bytes(b);
+    }
+
+    /// Writes a tagged `Ref`.
+    pub fn put_ref_value(&mut self, id: ObjId) {
+        self.put_u8(TAG_REF);
+        self.put_obj_id(id);
+    }
+
+    /// Writes the header of a `List` of `len` items; the items follow as
+    /// tagged values.
+    pub fn put_list_header(&mut self, len: usize) {
+        self.put_u8(TAG_LIST);
+        self.put_varint(len as u64);
+    }
+
+    /// Writes the header of a `Map` of `len` entries; each entry follows as
+    /// a [`put_str`](Encoder::put_str) key and a tagged value.
+    pub fn put_map_header(&mut self, len: usize) {
+        self.put_u8(TAG_MAP);
+        self.put_varint(len as u64);
     }
 
     /// Writes a platform error (see [`Decoder::take_error`]).
@@ -454,6 +503,77 @@ impl<'a> Decoder<'a> {
         }
     }
 
+    // Typed value readers, the inverses of the typed writers: each reads
+    // one tagged value of the named kind and fails with a decode error,
+    // naming the tag it found, on any other.
+
+    fn take_tag(&mut self, expected: u8, kind: &str) -> Result<()> {
+        match self.take_u8()? {
+            tag if tag == expected => Ok(()),
+            tag => Err(Self::err(format!("expected {kind}, got value tag {tag}"))),
+        }
+    }
+
+    /// Consumes a tagged `Null` if one is next; true when it did.
+    pub fn take_null(&mut self) -> bool {
+        let next = self.data.get(self.pos) == Some(&TAG_NULL);
+        if next {
+            self.pos += 1;
+        }
+        next
+    }
+
+    /// Reads a tagged `Bool`.
+    pub fn take_bool_value(&mut self) -> Result<bool> {
+        match self.take_u8()? {
+            TAG_BOOL_FALSE => Ok(false),
+            TAG_BOOL_TRUE => Ok(true),
+            tag => Err(Self::err(format!("expected bool, got value tag {tag}"))),
+        }
+    }
+
+    /// Reads a tagged `I64`.
+    pub fn take_i64_value(&mut self) -> Result<i64> {
+        self.take_tag(TAG_I64, "i64")?;
+        self.take_i64()
+    }
+
+    /// Reads a tagged `F64`.
+    pub fn take_f64_value(&mut self) -> Result<f64> {
+        self.take_tag(TAG_F64, "f64")?;
+        self.take_f64()
+    }
+
+    /// Reads a tagged `Str`, borrowed from the input.
+    pub fn take_str_value(&mut self) -> Result<&'a str> {
+        self.take_tag(TAG_STR, "str")?;
+        self.take_str_ref()
+    }
+
+    /// Reads a tagged `Bytes`, borrowed from the input.
+    pub fn take_bytes_value(&mut self) -> Result<&'a [u8]> {
+        self.take_tag(TAG_BYTES, "bytes")?;
+        self.take_bytes_ref()
+    }
+
+    /// Reads a tagged `Ref`.
+    pub fn take_ref_value(&mut self) -> Result<ObjId> {
+        self.take_tag(TAG_REF, "ref")?;
+        self.take_obj_id()
+    }
+
+    /// Reads a `List` header, returning its item count.
+    pub fn take_list_header(&mut self) -> Result<usize> {
+        self.take_tag(TAG_LIST, "list")?;
+        self.take_len()
+    }
+
+    /// Reads a `Map` header, returning its entry count.
+    pub fn take_map_header(&mut self) -> Result<usize> {
+        self.take_tag(TAG_MAP, "map")?;
+        self.take_len()
+    }
+
     /// Reads a platform error written by [`Encoder::put_error`].
     pub fn take_error(&mut self) -> Result<ObiError> {
         Ok(match self.take_u8()? {
@@ -614,6 +734,91 @@ mod tests {
             let b = enc.finish();
             assert_eq!(Decoder::new(&b).take_error().unwrap(), e);
         }
+    }
+
+    #[test]
+    fn typed_writers_match_put_value_and_read_back() {
+        let id = ObjId::new(SiteId::new(3), 14);
+        let mut typed = Encoder::new();
+        typed.put_null();
+        typed.put_bool_value(true);
+        typed.put_bool_value(false);
+        typed.put_i64_value(-300);
+        typed.put_f64_value(2.5);
+        typed.put_str_value("héllo");
+        typed.put_bytes_value(b"\x00\x01");
+        typed.put_ref_value(id);
+        typed.put_list_header(1);
+        typed.put_i64_value(1);
+        typed.put_map_header(1);
+        typed.put_str("k");
+        typed.put_null();
+        let mut generic = Encoder::new();
+        for v in [
+            ObiValue::Null,
+            ObiValue::Bool(true),
+            ObiValue::Bool(false),
+            ObiValue::I64(-300),
+            ObiValue::F64(2.5),
+            ObiValue::Str("héllo".into()),
+            ObiValue::Bytes(Bytes::from_static(b"\x00\x01")),
+            ObiValue::Ref(id),
+            ObiValue::List(vec![ObiValue::I64(1)]),
+            ObiValue::Map(vec![("k".into(), ObiValue::Null)]),
+        ] {
+            generic.put_value(&v);
+        }
+        assert_eq!(typed.as_slice(), generic.as_slice());
+
+        let b = typed.finish();
+        let mut dec = Decoder::new(&b);
+        assert!(dec.take_null());
+        assert!(!dec.take_null(), "take_null consumes only a Null");
+        assert!(dec.take_bool_value().unwrap());
+        assert!(!dec.take_bool_value().unwrap());
+        assert_eq!(dec.take_i64_value().unwrap(), -300);
+        assert_eq!(dec.take_f64_value().unwrap(), 2.5);
+        assert_eq!(dec.take_str_value().unwrap(), "héllo");
+        assert_eq!(dec.take_bytes_value().unwrap(), b"\x00\x01");
+        assert_eq!(dec.take_ref_value().unwrap(), id);
+        assert_eq!(dec.take_list_header().unwrap(), 1);
+        assert_eq!(dec.take_i64_value().unwrap(), 1);
+        assert_eq!(dec.take_map_header().unwrap(), 1);
+        assert_eq!(dec.take_str_ref().unwrap(), "k");
+        assert!(dec.take_null());
+        assert!(dec.is_exhausted());
+        assert!(
+            !dec.take_null(),
+            "take_null at the end is false, not a panic"
+        );
+    }
+
+    #[test]
+    fn typed_readers_reject_other_tags() {
+        let mut enc = Encoder::new();
+        enc.put_str_value("x");
+        let b = enc.finish();
+        assert!(matches!(
+            Decoder::new(&b).take_i64_value(),
+            Err(ObiError::Decode(_))
+        ));
+        assert!(Decoder::new(&b).take_bool_value().is_err());
+        assert!(Decoder::new(&b).take_f64_value().is_err());
+        assert!(Decoder::new(&b).take_bytes_value().is_err());
+        assert!(Decoder::new(&b).take_ref_value().is_err());
+        assert!(Decoder::new(&b).take_list_header().is_err());
+        assert!(Decoder::new(&b).take_map_header().is_err());
+        assert!(Decoder::new(&[]).take_str_value().is_err());
+    }
+
+    #[test]
+    fn cleared_encoder_starts_over() {
+        let mut enc = Encoder::new();
+        enc.put_str("first");
+        enc.clear();
+        assert!(enc.is_empty());
+        enc.put_u8(7);
+        assert_eq!(enc.as_slice(), &[7]);
     }
 
     #[test]

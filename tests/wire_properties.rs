@@ -1,7 +1,12 @@
 //! Property-based tests of the wire format: arbitrary values and messages
-//! round-trip exactly, and the decoder never panics on arbitrary bytes.
+//! round-trip exactly, the decoder never panics on arbitrary bytes, and the
+//! typed replica-state codec `obi_class!` generates is byte-identical to the
+//! generic `ObiValue` path and decodes exactly as it does.
 
 use bytes::Bytes;
+use obiwan::core::demo::{Counter, Document, LinkedItem, PayloadNode, TreeNode};
+use obiwan::core::object::encode_state;
+use obiwan::core::{ClassRegistry, DecodableObject, ObiObject, ObjRef};
 use obiwan::util::{ObiError, ObjId, RequestId, SiteId};
 use obiwan::wire::{Decoder, Encoder, FrontierEdge, Message, ObiValue, ReplicaBatch, ReplicaState, WireMode};
 use proptest::prelude::*;
@@ -270,5 +275,176 @@ fn every_bare_tag_byte_fails_with_a_decode_error() {
             Err(ObiError::Decode(_)) => {}
             Err(e) => panic!("bare tag {tag} yielded non-Decode error {e:?}"),
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Typed replica-state codec
+// ---------------------------------------------------------------------------
+
+fn arb_ref() -> impl Strategy<Value = ObjRef> {
+    arb_obj_id().prop_map(ObjRef::new)
+}
+
+fn arb_opt_ref() -> impl Strategy<Value = Option<ObjRef>> {
+    (any::<bool>(), arb_ref()).prop_map(|(some, r)| some.then_some(r))
+}
+
+fn arb_linked_item() -> impl Strategy<Value = LinkedItem> {
+    (
+        any::<i64>(),
+        ".{0,24}",
+        arb_opt_ref(),
+        proptest::collection::vec(arb_ref(), 0..6),
+    )
+        .prop_map(|(value, label, next, extra)| LinkedItem::from_fields(value, label, next, extra))
+}
+
+fn arb_payload_node() -> impl Strategy<Value = PayloadNode> {
+    (
+        any::<i64>(),
+        proptest::collection::vec(any::<u8>(), 0..300),
+        arb_opt_ref(),
+    )
+        .prop_map(|(index, payload, next)| {
+            PayloadNode::from_fields(index, Bytes::from(payload), next)
+        })
+}
+
+fn arb_counter() -> impl Strategy<Value = Counter> {
+    any::<i64>().prop_map(Counter::from_fields)
+}
+
+fn arb_document() -> impl Strategy<Value = Document> {
+    (".{0,24}", ".{0,80}").prop_map(|(title, content)| Document::from_fields(title, content))
+}
+
+fn arb_tree_node() -> impl Strategy<Value = TreeNode> {
+    (".{0,24}", proptest::collection::vec(arb_ref(), 0..6))
+        .prop_map(|(label, children)| TreeNode::from_fields(label, children))
+}
+
+/// The generic decode path: the whole `ObiValue` tree, then the field map.
+fn generic_decode<T: DecodableObject>(bytes: &[u8]) -> obiwan::util::Result<T> {
+    T::decode_state(&Decoder::new(bytes).take_value()?)
+}
+
+fn encode_value(v: &ObiValue) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    enc.put_value(v);
+    enc.as_slice().to_vec()
+}
+
+/// A value of a different kind than `v`, so a field holding it carries an
+/// unexpected tag.
+fn mistyped(v: &ObiValue) -> ObiValue {
+    match v {
+        ObiValue::Str(_) => ObiValue::I64(1),
+        _ => ObiValue::Str("mistyped".into()),
+    }
+}
+
+/// Non-canonical encodings of `obj`'s state: fields reordered, an extra
+/// field, a duplicated field, each field missing, each field mistyped,
+/// trailing bytes, a list in place of the map, and every truncation of the
+/// canonical bytes.
+fn non_canonical_inputs(state: &ObiValue, canonical: &[u8]) -> Vec<Vec<u8>> {
+    let ObiValue::Map(entries) = state else {
+        panic!("generated state is not a map: {state:?}");
+    };
+    let mut out = Vec::new();
+    let mut reversed = entries.clone();
+    reversed.reverse();
+    out.push(encode_value(&ObiValue::Map(reversed)));
+    let mut extra = entries.clone();
+    extra.push(("extra_field".into(), ObiValue::I64(7)));
+    out.push(encode_value(&ObiValue::Map(extra)));
+    let mut duplicated = entries.clone();
+    duplicated.insert(0, entries[0].clone());
+    out.push(encode_value(&ObiValue::Map(duplicated)));
+    for k in 0..entries.len() {
+        let mut missing = entries.clone();
+        missing.remove(k);
+        out.push(encode_value(&ObiValue::Map(missing)));
+        let mut wrong = entries.clone();
+        wrong[k].1 = mistyped(&wrong[k].1);
+        out.push(encode_value(&ObiValue::Map(wrong)));
+    }
+    let mut trailing = canonical.to_vec();
+    trailing.push(0);
+    out.push(trailing);
+    out.push(encode_value(&ObiValue::List(
+        entries.iter().map(|(_, v)| v.clone()).collect(),
+    )));
+    for cut in 0..canonical.len() {
+        out.push(canonical[..cut].to_vec());
+    }
+    out
+}
+
+/// Every property of the typed codec, for one object of one class.
+fn check_typed_codec<T>(obj: &T, register: fn(&ClassRegistry))
+where
+    T: ObiObject + DecodableObject + PartialEq + std::fmt::Debug,
+{
+    // Encode: byte-identical to the generic path.
+    let generic = encode_value(&obj.state());
+    let typed = encode_state(obj);
+    assert_eq!(typed.as_slice(), generic.as_slice(), "{obj:?}");
+    assert_eq!(obj.payload_size(), generic.len());
+
+    // Decode: the canonical layout is read directly and agrees with the
+    // generic path, and so does the registry's bytes entry.
+    let mut dec = Decoder::new(&typed);
+    assert_eq!(&T::decode_canonical(&mut dec).unwrap(), obj);
+    assert!(dec.is_exhausted());
+    assert_eq!(&T::decode_bytes(&typed).unwrap(), obj);
+    assert_eq!(&generic_decode::<T>(&typed).unwrap(), obj);
+    let registry = ClassRegistry::new();
+    register(&registry);
+    let materialized = registry.decode(obj.class_name(), &typed).unwrap();
+    assert_eq!(materialized.state(), obj.state());
+
+    // Fallback: any other input gives the generic path's object or error.
+    for input in non_canonical_inputs(&obj.state(), &typed) {
+        let fast = T::decode_bytes(&input);
+        let slow = generic_decode::<T>(&input);
+        match (&fast, &slow) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "input {input:?}"),
+            (Err(a), Err(b)) => {
+                assert!(matches!(a, ObiError::Decode(_)), "input {input:?}: {a:?}");
+                assert_eq!(a, b, "input {input:?}");
+            }
+            _ => panic!("input {input:?}: typed {fast:?} vs generic {slow:?}"),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn linked_item_typed_codec_matches_generic(obj in arb_linked_item()) {
+        check_typed_codec(&obj, LinkedItem::register);
+    }
+
+    #[test]
+    fn payload_node_typed_codec_matches_generic(obj in arb_payload_node()) {
+        check_typed_codec(&obj, PayloadNode::register);
+    }
+
+    #[test]
+    fn counter_typed_codec_matches_generic(obj in arb_counter()) {
+        check_typed_codec(&obj, Counter::register);
+    }
+
+    #[test]
+    fn document_typed_codec_matches_generic(obj in arb_document()) {
+        check_typed_codec(&obj, Document::register);
+    }
+
+    #[test]
+    fn tree_node_typed_codec_matches_generic(obj in arb_tree_node()) {
+        check_typed_codec(&obj, TreeNode::register);
     }
 }
