@@ -4,7 +4,7 @@
 //! both bench and `--test` mode — asserts the headline property of the
 //! pipeline: walking the list after `prefetch_batched(batch = 8)` costs at
 //! least 4× fewer network round-trips than faulting every node on demand,
-//! and a wide fan-out demands all of its frontier in one `GetMany`.
+//! and a wide fan-out demands all of its frontier in one multi-target demand.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use obiwan_bench::workload::payload_list;
@@ -40,7 +40,7 @@ fn round_trips_demand(w: &ListWorkload) -> u64 {
 }
 
 /// Round-trips spent with the batched pipeline: one demand for the head,
-/// then `prefetch_batched` pulling `BATCH` objects per `GetMany`.
+/// then `prefetch_batched` pulling `BATCH` objects per demand.
 fn round_trips_batched(w: &ListWorkload) -> u64 {
     let site = w.world.site(w.consumer);
     let before = site.metrics().snapshot();
@@ -64,7 +64,7 @@ fn assert_round_trip_reduction() {
 }
 
 /// A root with `fan` children on the provider: the whole frontier must be
-/// demanded in ONE `GetMany` round-trip instead of `fan`.
+/// demanded in ONE multi-target round-trip instead of `fan`.
 fn assert_wide_fanout_is_one_round_trip() {
     let fan = 8usize;
     let mut world = ObiWorld::paper_testbed();

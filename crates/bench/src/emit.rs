@@ -50,7 +50,7 @@ pub struct DemandPoint {
     pub invocations: u64,
     /// Object faults taken.
     pub object_faults: u64,
-    /// Demand round-trips spent (get/get_many exchanges).
+    /// Demand round-trips spent (one per demand exchange, resumes included).
     pub round_trips: u64,
     /// Demand (fault-resolution) latency distribution.
     pub demand: Histogram,

@@ -3,11 +3,12 @@
 //!
 //! One provider process hosts a large object population (thousands of
 //! payload chains); a fleet of client sites hammers it over the threaded
-//! [`MemTransport`] with a contended mixed workload — demand walks
-//! (`GetRequest` with an incremental batch, following the returned
-//! frontier) and mutating `set_index` invocations on chain heads. The
-//! provider
-//! is registered with [`MemTransport::register_with_workers`] and the bench
+//! [`MemTransport`] with a contended mixed workload — demand walks (the
+//! one demand request, `GetRequest`, for an incremental batch asked for
+//! whole, so its reply is a single `GetChunk`; the walk follows the
+//! returned frontier) and mutating `set_index` invocations on chain heads.
+//! The provider is registered with [`MemTransport::register_with_workers`]
+//! and the bench
 //! sweeps the worker count, measuring real wall-clock ops/sec and the
 //! client-observed p99 under contention.
 //!
@@ -27,6 +28,7 @@ use bytes::Bytes;
 use obiwan_core::demo::{self, PayloadNode};
 use obiwan_core::{ClassRegistry, ObiProcess, ObiValue, NAME_SERVER_SITE};
 use obiwan_net::{MemTransport, MessageHandler, Transport};
+use obiwan_rmi::WHOLE_BATCH;
 use obiwan_util::{Clock, ClockMode, CostModel, Histogram, ObjId, RequestId, SiteId};
 use obiwan_wire::{Message, WireMode};
 use std::sync::Arc;
@@ -229,10 +231,12 @@ fn client_run(
         } else {
             Message::GetRequest {
                 request,
-                target: cursor,
+                targets: vec![cursor],
                 mode: WireMode::Incremental {
                     batch: cfg.get_batch,
                 },
+                chunk: WHOLE_BATCH,
+                resume_from: 0,
             }
             .encode()
         };
@@ -240,7 +244,7 @@ fn client_run(
         match transport.call(from, PROVIDER, frame) {
             Ok(reply) => {
                 latency.record(t0.elapsed());
-                if let Ok(Message::GetReply {
+                if let Ok(Message::GetChunk {
                     result: Ok(batch), ..
                 }) = Message::decode(&reply)
                 {

@@ -21,7 +21,7 @@
 //! |---|---|
 //! | `IProvide::get(mode)` | [`ObiProcess::get`] with a [`ReplicationMode`](crate::ReplicationMode) |
 //! | `IProvide::put(Object)` | [`ObiProcess::put`] / [`ObiProcess::put_cluster`] |
-//! | `IProvideRemote` (remote-capable `IProvide`) | the `GetRequest`/`PutRequest` wire messages ([`obiwan_wire::Message`]) |
+//! | `IProvideRemote` (remote-capable `IProvide`) | the `PutRequest` wire message and the one demand exchange, a `GetRequest` answered with `GetChunk` frames whose last is the reply ([`obiwan_wire::Message`], `RmiClient::get`) |
 //! | `IDemand::setProvider` | the `provider` field of [`ProxyOut`](crate::proxy::ProxyOut) and replica metadata |
 //! | `IDemand::setDemander` | implicit: handles resolve through the space, so the demander needs no back-pointer |
 //! | `IDemandee::demand()` | the fault path inside [`ObiProcess::invoke`] (see `resolve_fault`) |

@@ -20,13 +20,13 @@ use crate::hooks::{AcceptAll, ConsistencyHook};
 use crate::object::{ClassRegistry, ObiObject};
 use crate::objref::ObjRef;
 use crate::proxy::{ProxyIn, ProxyOut};
-use crate::replication::{build_batch, build_batch_many, replica_state, ReplicationMode};
+use crate::replication::{build_batch_many, replica_state, ReplicationMode};
 use crate::shards::ShardedSpace;
 use crate::space::{GcStats, ObjectEntry, ObjectMeta, ReplicaKind, Resolution, SpaceView};
 use obiwan_net::Transport;
 use obiwan_rmi::{
     BreakerState, Deadline, RemoteRef, RetryPolicy, RmiClient, RmiServer, RmiService,
-    STREAM_CHUNK_OBJECTS,
+    STREAM_CHUNK_OBJECTS, WHOLE_BATCH,
 };
 use obiwan_store::{state_fingerprint, Durable, RecoveredState};
 use obiwan_util::trace;
@@ -148,7 +148,28 @@ struct ProcessInner {
     cluster_roots: HashMap<ClusterId, ObjId>,
 }
 
-/// One streamed reply chunk parked for deferred materialization (see
+/// Where [`ObiProcess::absorb`] puts one demanded chunk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Absorb {
+    /// Materialize now, under the re-acquired process lock.
+    Inline,
+    /// Park in [`ProcessShared::pending_chunks`] for
+    /// [`ObiProcess::pump_pending_chunks`], outside the caller's latency
+    /// window.
+    Deferred,
+}
+
+/// The `chunk` a fault or prefetch demand asks for: incremental steps above
+/// [`STREAM_CHUNK_OBJECTS`] stream in chunks of that size, so the root's
+/// chunk installs while the rest is in flight; anything else arrives whole.
+fn stream_chunk(mode: WireMode) -> u32 {
+    match mode {
+        WireMode::Incremental { batch } if batch > STREAM_CHUNK_OBJECTS => STREAM_CHUNK_OBJECTS,
+        _ => WHOLE_BATCH,
+    }
+}
+
+/// One demanded chunk parked for deferred materialization (see
 /// [`ProcessShared::pending_chunks`]).
 struct PendingChunk {
     batch: ReplicaBatch,
@@ -163,8 +184,8 @@ struct ProcessShared {
     ns_site: SiteId,
     lock: ProcessLock,
     /// The object table, striped into internally-locked shards. It lives
-    /// *outside* the process lock: read-mostly service paths (`get`,
-    /// `get_many`) walk it concurrently with local invocations, which still
+    /// *outside* the process lock: the read-mostly serve-get path walks it
+    /// concurrently with local invocations, which still
     /// serialize on the process lock above.
     space: ShardedSpace,
     /// Proxy-in table for objects this process provides. Guarded by its own
@@ -178,7 +199,7 @@ struct ProcessShared {
     /// arrival order is preserved so an `UpdatePush` following an
     /// `Invalidate` for the same object lands after it, never before.
     inbox: Mutex<VecDeque<(SiteId, Message)>>,
-    /// Chunks after the first of each streamed fault reply, parked here
+    /// Chunks after the first of each streamed fault demand, parked here
     /// (already decoded off the wire) instead of being materialized inside
     /// the fault window: [`ObiProcess::pump_pending_chunks`] installs them
     /// at the top of the next public operation, *before* its latency window
@@ -198,6 +219,28 @@ struct ProcessShared {
     /// lint) and with the process lock released: an fsync under either
     /// would serialize the striped table or every invocation on the site.
     durable: std::sync::OnceLock<Arc<Durable>>,
+}
+
+impl ProcessShared {
+    /// Demands the batch rooted at `target` from `provider` whole, as one
+    /// chunk — how `get`, refreshes and nested faults fetch.
+    fn get_whole(
+        &self,
+        provider: SiteId,
+        target: ObjId,
+        mode: WireMode,
+    ) -> Result<ReplicaBatch> {
+        let mut whole = None;
+        self.client.get(
+            provider,
+            vec![target],
+            mode,
+            WHOLE_BATCH,
+            None,
+            &mut |_, batch| whole = Some(batch),
+        )?;
+        whole.ok_or_else(|| ObiError::Internal("demand completed without a chunk".into()))
+    }
 }
 
 /// One OBIWAN process: the runtime services a site's application links
@@ -358,9 +401,8 @@ fn resolve_fault(inner: &mut ProcessInner, shared: &ProcessShared, proxy: &Proxy
     let _span = trace::span(&shared.clock, "obi.fault")
         .with_site(shared.site)
         .with_obj(proxy.target);
-    let remote = RemoteRef::new(proxy.target, proxy.provider);
     let start = shared.clock.virtual_nanos();
-    let batch = shared.client.get(&remote, proxy.mode);
+    let batch = shared.get_whole(proxy.provider, proxy.target, proxy.mode);
     let waited = shared.clock.virtual_nanos().saturating_sub(start);
     shared.metrics.add_fault_nanos(waited);
     shared
@@ -888,7 +930,9 @@ impl ObiProcess {
         if remote.host() == self.shared.site {
             return Ok(ObjRef::new(remote.id()));
         }
-        let batch = self.shared.client.get(remote, mode.to_wire())?;
+        let batch = self
+            .shared
+            .get_whole(remote.host(), remote.id(), mode.to_wire())?;
         self.with_inner(|inner| {
             materialize_batch(inner, &self.shared, &batch, remote.host(), mode.to_wire())?;
             Ok(ObjRef::new(batch.root))
@@ -942,8 +986,8 @@ impl ObiProcess {
     }
 
     /// Like [`prefetch`](ObiProcess::prefetch), but demanding up to `batch`
-    /// objects per network round-trip through `get_many`: frontier proxies
-    /// are collected and sent to their provider in one request, and each
+    /// objects per network round-trip: frontier proxies are collected and
+    /// sent to their provider in one multi-target demand, and each
     /// round's batch *feeds the next* — the frontier edges of the replicas
     /// just materialized become the next demand targets, so the object
     /// graph is traversed once (O(objects + frontier)) instead of re-walked
@@ -1014,9 +1058,10 @@ impl ObiProcess {
     }
 
     /// One prefetch round: validate up to `batch.min(remaining)` candidates
-    /// under the lock, demand them (grouped per provider, one `get_many`
-    /// each; non-incremental proxies individually), re-acquire and install.
-    /// Returns `(replicas installed, frontier ids discovered)`.
+    /// under the lock, demand them (incremental ones grouped per provider,
+    /// one demand each; cluster/transitive proxies individually), and
+    /// absorb every chunk inline as it lands. Returns `(replicas installed,
+    /// frontier ids discovered)`.
     fn prefetch_round(
         &self,
         candidates: &mut VecDeque<ObjId>,
@@ -1061,73 +1106,70 @@ impl ObiProcess {
         // Spread the round's object budget across the targets; a single
         // target still honors its proxy's own incremental step.
         let spread = (batch / total).max(1).min(u32::MAX as usize) as u32;
+        let demands = grouped
+            .into_iter()
+            .map(|(provider, (targets, own_step))| {
+                let step = own_step.max(spread);
+                (provider, targets, WireMode::Incremental { batch: step })
+            })
+            .chain(solo.into_iter().map(|p| (p.provider, vec![p.target], p.mode)));
 
         let mut inserted = 0usize;
         let mut discovered: Vec<ObjId> = Vec::new();
-        for (provider, (targets, own_step)) in grouped {
-            let step = own_step.max(spread);
-            let mode = WireMode::Incremental { batch: step };
+        for (provider, targets, mode) in demands {
+            // Prefetch is bulk work, not a caller-visible latency window,
+            // so every chunk installs inline as it lands, pipelined with
+            // the provider still slicing the rest.
             let swizzled = targets.len();
-            if step > STREAM_CHUNK_OBJECTS {
-                // Large batches stream: each chunk is absorbed as it lands,
-                // pipelined with the provider still slicing the rest.
-                // Prefetch is bulk work, not a caller-visible latency window,
-                // so chunks install inline rather than parking for a pump.
-                let mut absorb_err: Option<ObiError> = None;
-                self.shared.client.get_many_stream_with_deadline(
-                    provider,
-                    targets,
-                    mode,
-                    Some(deadline),
-                    &mut |index, batch| {
-                        discovered.extend(batch.frontier.iter().map(|e| e.target));
-                        let sw = if index == 0 { swizzled } else { 0 };
-                        match self.absorb_prefetched(&batch, provider, mode, sw) {
-                            Ok(n) => inserted += n,
-                            Err(e) => {
-                                if absorb_err.is_none() {
-                                    absorb_err = Some(e);
-                                }
-                            }
-                        }
-                    },
-                )?;
-                if let Some(e) = absorb_err {
-                    return Err(e);
-                }
-            } else {
-                let reply = self
-                    .shared
-                    .client
-                    .get_many_with_deadline(provider, targets, mode, Some(deadline))?;
-                discovered.extend(reply.frontier.iter().map(|e| e.target));
-                inserted += self.absorb_prefetched(&reply, provider, mode, swizzled)?;
-            }
-        }
-        for proxy in solo {
-            let remote = RemoteRef::new(proxy.target, proxy.provider);
-            let reply = self
-                .shared
-                .client
-                .get_with_deadline(&remote, proxy.mode, Some(deadline))?;
-            discovered.extend(reply.frontier.iter().map(|e| e.target));
-            inserted += self.absorb_prefetched(&reply, proxy.provider, proxy.mode, 1)?;
+            let mut absorbed: Result<()> = Ok(());
+            self.shared.client.get(
+                provider,
+                targets,
+                mode,
+                stream_chunk(mode),
+                Some(deadline),
+                &mut |index, batch| {
+                    discovered.extend(batch.frontier.iter().map(|e| e.target));
+                    let swizzled = if index == 0 { swizzled } else { 0 };
+                    match self.absorb(index, batch, provider, mode, Absorb::Inline, swizzled) {
+                        Ok(n) => inserted += n,
+                        Err(e) if absorbed.is_ok() => absorbed = Err(e),
+                        Err(_) => {}
+                    }
+                },
+            )?;
+            absorbed?;
         }
         span.set_value(inserted as u64);
         Ok((inserted, discovered))
     }
 
-    /// Re-acquires the lock and installs a prefetched batch through the
-    /// guarded materializer; `swizzled` proxies were overwritten.
-    fn absorb_prefetched(
+    /// Absorbs one demanded chunk the caller's way: [`Absorb::Inline`]
+    /// re-acquires the lock and installs it through the guarded
+    /// materializer (`swizzled` proxies were overwritten), returning the
+    /// replicas installed; [`Absorb::Deferred`] parks it for
+    /// [`ObiProcess::pump_pending_chunks`] and installs nothing yet.
+    fn absorb(
         &self,
-        batch: &ReplicaBatch,
+        index: u32,
+        batch: ReplicaBatch,
         provider: SiteId,
         mode: WireMode,
+        how: Absorb,
         swizzled: usize,
     ) -> Result<usize> {
+        if how == Absorb::Deferred {
+            self.shared.pending_chunks.lock().push_back(PendingChunk {
+                batch,
+                provider,
+                mode,
+                chunk_index: index,
+            });
+            return Ok(0);
+        }
         self.with_inner(|inner| {
-            let installed = materialize_batch_guarded(inner, &self.shared, batch, provider, mode)?;
+            let installed =
+                materialize_batch_guarded(inner, &self.shared, &batch, provider, mode)?;
             self.shared.clock.charge_cpu(self.shared.costs.swizzle);
             self.shared
                 .metrics
@@ -1208,92 +1250,64 @@ impl ObiProcess {
     }
 
     /// Resolves one top-level fault with the process lock released during
-    /// the network wait. The time blocked on the provider is recorded in
-    /// the `fault_nanos` metric.
+    /// the network wait. The time blocked on the provider — the demand,
+    /// less the install of the last chunk it delivered — is recorded in the
+    /// `fault_nanos` metric.
     ///
-    /// Batches larger than [`STREAM_CHUNK_OBJECTS`] arrive as a chunk
-    /// stream ([`resolve_fault_streaming`](Self::resolve_fault_streaming));
-    /// smaller ones keep the cheaper one-shot exchange.
+    /// Only chunk 0, which carries the faulted root the blocked invocation
+    /// is waiting on, is materialized inside the fault window. A batch
+    /// whose incremental step exceeds [`STREAM_CHUNK_OBJECTS`] streams:
+    /// chunk 0 installs while chunk 1 is still in flight, and every later
+    /// chunk parks for [`ObiProcess::pump_pending_chunks`], which installs
+    /// it before the *next* operation's latency window opens. The
+    /// caller-visible fault cost is thereby one chunk's materialization
+    /// regardless of the batch step.
     fn resolve_fault_unlocked(&self, proxy: &ProxyOut) -> Result<()> {
-        if matches!(proxy.mode, WireMode::Incremental { batch } if batch > STREAM_CHUNK_OBJECTS) {
-            return self.resolve_fault_streaming(proxy);
-        }
-        let _span = trace::span(&self.shared.clock, "obi.fault")
-            .with_site(self.shared.site)
-            .with_obj(proxy.target);
-        let remote = RemoteRef::new(proxy.target, proxy.provider);
-        let deadline = self.demand_deadline();
-        let start = self.shared.clock.virtual_nanos();
-        let batch = self
-            .shared
-            .client
-            .get_with_deadline(&remote, proxy.mode, Some(deadline));
-        let waited = self.shared.clock.virtual_nanos().saturating_sub(start);
-        self.shared.metrics.add_fault_nanos(waited);
-        self.shared
-            .metrics
-            .record_latency(LatencyKind::Demand, Duration::from_nanos(waited));
-        let batch = batch?;
-        self.with_inner(|inner| {
-            materialize_batch_guarded(inner, &self.shared, &batch, proxy.provider, proxy.mode)?;
-            self.shared.clock.charge_cpu(self.shared.costs.swizzle);
-            self.shared.metrics.incr_proxies_reclaimed();
-            Ok(())
-        })
-    }
-
-    /// Streamed top-level fault resolution: the provider slices the batch
-    /// into chunk frames, and only chunk 0 — which carries the faulted root
-    /// the blocked invocation is waiting on — is materialized inside the
-    /// fault window. Every later chunk is parked in `pending_chunks` as it
-    /// arrives and installed by [`ObiProcess::pump_pending_chunks`] before
-    /// the *next* operation's latency window opens. The caller-visible
-    /// fault cost is thereby one chunk's materialization regardless of the
-    /// batch step — the whole point of the streaming reply protocol.
-    fn resolve_fault_streaming(&self, proxy: &ProxyOut) -> Result<()> {
         let _span = trace::span(&self.shared.clock, "obi.fault")
             .with_site(self.shared.site)
             .with_obj(proxy.target);
         let deadline = self.demand_deadline();
         let provider = proxy.provider;
         let mode = proxy.mode;
-        let start = self.shared.clock.virtual_nanos();
-        let mut inline_result: Result<()> = Ok(());
-        let streamed = self.shared.client.get_many_stream_with_deadline(
+        let clock = &self.shared.clock;
+        let start = clock.virtual_nanos();
+        // Installing the last chunk is local work that follows the wire,
+        // not waiting: its time is left out of the fault's wait.
+        let mut last_absorb = 0u64;
+        let mut absorbed: Result<()> = Ok(());
+        let demanded = self.shared.client.get(
             provider,
             vec![proxy.target],
             mode,
+            stream_chunk(mode),
             Some(deadline),
             &mut |index, batch| {
-                if index == 0 {
-                    // Re-acquire the process lock only for the root's
-                    // chunk; chunk k+1 keeps flowing while this installs.
-                    inline_result = self.with_inner(|inner| {
-                        materialize_batch_guarded(inner, &self.shared, &batch, provider, mode)?;
-                        self.shared.clock.charge_cpu(self.shared.costs.swizzle);
-                        self.shared.metrics.incr_proxies_reclaimed();
-                        Ok(())
-                    });
+                let began = clock.virtual_nanos();
+                let how = if index == 0 {
+                    Absorb::Inline
                 } else {
-                    self.shared.pending_chunks.lock().push_back(PendingChunk {
-                        batch,
-                        provider,
-                        mode,
-                        chunk_index: index,
-                    });
+                    Absorb::Deferred
+                };
+                let result = self.absorb(index, batch, provider, mode, how, 1);
+                if absorbed.is_ok() {
+                    absorbed = result.map(|_| ());
                 }
+                last_absorb = clock.virtual_nanos().saturating_sub(began);
             },
         );
-        let waited = self.shared.clock.virtual_nanos().saturating_sub(start);
+        let waited = clock
+            .virtual_nanos()
+            .saturating_sub(start)
+            .saturating_sub(last_absorb);
         self.shared.metrics.add_fault_nanos(waited);
         self.shared
             .metrics
             .record_latency(LatencyKind::Demand, Duration::from_nanos(waited));
-        streamed?;
-        inline_result
+        demanded?;
+        absorbed
     }
 
-    /// Materializes every reply chunk parked by a streamed fault, oldest
+    /// Materializes every chunk parked by a streamed fault, oldest
     /// first. Runs at the top of each public operation — before its latency
     /// window opens — so deferred chunks are installed on the process's own
     /// time, never inside a caller-visible tail. Also safe to call directly
@@ -1661,11 +1675,9 @@ impl ObiProcess {
                 )),
             }
         })?;
-        let remote = RemoteRef::new(target.id(), provider);
-        let batch = self
-            .shared
-            .client
-            .get(&remote, WireMode::Incremental { batch: 1 })?;
+        let batch =
+            self.shared
+                .get_whole(provider, target.id(), WireMode::Incremental { batch: 1 })?;
         self.shared.metrics.incr_refreshes();
         self.with_inner(|inner| {
             materialize_batch(
@@ -1742,9 +1754,8 @@ impl ObiProcess {
                 )),
             }
         })?;
-        let remote = RemoteRef::new(root, provider);
         let mode = WireMode::Cluster { size: size.max(1) as u32 };
-        let batch = self.shared.client.get(&remote, mode)?;
+        let batch = self.shared.get_whole(provider, root, mode)?;
         self.shared.metrics.incr_refreshes();
         let fetched = batch.replicas.len();
         let new_cluster = batch.cluster.ok_or_else(|| {
@@ -2102,10 +2113,21 @@ impl ProcessService {
         move || ClusterId::new(site, current)
     }
 
-    /// Shared tail of the `get`/`get_many` handlers: charge provider-side
-    /// marshalling and register proxy-ins so replicas can be individually
-    /// updated (one per object) or cluster-updated (root only).
-    fn finish_get(&self, batch: ReplicaBatch) -> Result<ReplicaBatch> {
+    /// The serve-get fast path: builds the batch straight off the sharded
+    /// space, one shard read at a time, *without* the process lock. Remote
+    /// readers therefore scale with the shard count while local invocations
+    /// keep serializing on the process lock.
+    ///
+    /// The one semantic difference from the locked path: a slot owned by an
+    /// in-flight invocation reads as `Busy` (the locked path would have
+    /// waited the invocation out). Callers retry under the process lock on
+    /// any error, which restores exactly the old blocking behavior.
+    ///
+    /// Then charges provider-side marshalling and registers proxy-ins so
+    /// replicas can be individually updated (one per object) or
+    /// cluster-updated (root only).
+    fn serve_get_fast(&self, targets: &[ObjId], mode: WireMode) -> Result<ReplicaBatch> {
+        let batch = build_batch_many(&self.shared.space, targets, mode, self.next_cluster())?;
         self.shared
             .clock
             .charge_cpu(self.shared.costs.serialize(batch.state_bytes()));
@@ -2122,25 +2144,6 @@ impl ProcessService {
         }
         drop(exports);
         Ok(batch)
-    }
-
-    /// The serve-get fast path: builds the batch straight off the sharded
-    /// space, one shard read at a time, *without* the process lock. Remote
-    /// readers therefore scale with the shard count while local invocations
-    /// keep serializing on the process lock.
-    ///
-    /// The one semantic difference from the locked path: a slot owned by an
-    /// in-flight invocation reads as `Busy` (the locked path would have
-    /// waited the invocation out). Callers retry under the process lock on
-    /// any error, which restores exactly the old blocking behavior.
-    fn serve_get_fast(&self, target: ObjId, mode: WireMode) -> Result<ReplicaBatch> {
-        let batch = build_batch(&self.shared.space, target, mode, self.next_cluster())?;
-        self.finish_get(batch)
-    }
-
-    fn serve_get_many_fast(&self, targets: &[ObjId], mode: WireMode) -> Result<ReplicaBatch> {
-        let batch = build_batch_many(&self.shared.space, targets, mode, self.next_cluster())?;
-        self.finish_get(batch)
     }
 }
 
@@ -2206,26 +2209,16 @@ impl RmiService for ProcessService {
         result
     }
 
-    fn get(&self, _from: SiteId, target: ObjId, mode: WireMode) -> Result<ReplicaBatch> {
+    fn get_many(&self, _from: SiteId, targets: &[ObjId], mode: WireMode) -> Result<ReplicaBatch> {
         let _span = trace::span(&self.shared.clock, "obi.serve_get")
             .with_site(self.shared.site)
-            .with_obj(target);
-        match self.serve_get_fast(target, mode) {
+            .with_value(targets.len() as u64);
+        match self.serve_get_fast(targets, mode) {
             Ok(batch) => Ok(batch),
-            // A miss may mean a concurrent invocation holds the slot Busy;
+            // A miss may mean a concurrent invocation holds a slot Busy;
             // the process lock waits every invocation out, then the slot is
             // live again (or genuinely absent).
-            Err(_) => self.with_inner(|_inner| self.serve_get_fast(target, mode)),
-        }
-    }
-
-    fn get_many(&self, _from: SiteId, targets: &[ObjId], mode: WireMode) -> Result<ReplicaBatch> {
-        let _span = trace::span(&self.shared.clock, "obi.serve_get_many")
-            .with_site(self.shared.site)
-            .with_value(targets.len() as u64);
-        match self.serve_get_many_fast(targets, mode) {
-            Ok(batch) => Ok(batch),
-            Err(_) => self.with_inner(|_inner| self.serve_get_many_fast(targets, mode)),
+            Err(_) => self.with_inner(|_inner| self.serve_get_fast(targets, mode)),
         }
     }
 
@@ -2485,7 +2478,8 @@ mod tests {
             assert!(world.site(s1).is_replicated(*r));
         }
         let snap = world.site(s1).metrics().snapshot();
-        assert_eq!(snap.demand_chunks, 2);
+        // One chunk for the whole get, two for the streamed fault.
+        assert_eq!(snap.demand_chunks, 1 + 2);
         assert_eq!(snap.replicas_created, 30);
         // Exactly one streamed round trip resolved the fault.
         assert_eq!(snap.stream_resumes, 0);

@@ -95,38 +95,20 @@ impl Default for ReplicationMode {
     }
 }
 
-/// Builds the replica batch answering `get(root, mode)` against a provider's
-/// object space.
-///
-/// The traversal is breadth-first from `root` over live objects, stopping at
-/// the mode's step size. Frontier edges (references leaving the batch) are
-/// reported so the requester can create proxy-outs; in cluster mode the
-/// caller supplies a fresh [`ClusterId`] via `next_cluster` and all frontier
-/// proxies will share one pair.
-///
-/// # Errors
-///
-/// [`ObiError::NoSuchObject`] when `root` is not a live object here (this
-/// site cannot *provide* objects it only holds proxies for).
-pub fn build_batch<S: SpaceView>(
-    space: &S,
-    root: ObjId,
-    mode: WireMode,
-    next_cluster: impl FnOnce() -> ClusterId,
-) -> Result<ReplicaBatch> {
-    build_batch_many(space, &[root], mode, next_cluster)
-}
-
-/// Builds one merged replica batch rooted at every live object in `targets`
-/// — the provider side of `get_many` (the batched demand pipeline).
+/// Builds the replica batch answering a `get(mode)` demand against a
+/// provider's object space: one merged batch rooted at every live object in
+/// `targets` (a single `get` is one target).
 ///
 /// The traversal is a multi-source BFS seeded with all live targets, so the
 /// roots are materialized first (in request order) before any of their
-/// referents. The step limit scales with the number of live roots: a
-/// `get_many` of N targets in `Incremental { batch }` mode yields up to
-/// `N × batch` objects, exactly what N separate `get`s would have, in one
-/// round-trip. Targets this site cannot provide (proxies, absent ids) are
-/// silently skipped; the reply's `root` is the first live target.
+/// referents. The step limit scales with the number of live roots: a demand
+/// of N targets in `Incremental { batch }` mode yields up to `N × batch`
+/// objects, exactly what N separate `get`s would have, in one round-trip.
+/// Targets this site cannot provide (proxies, absent ids) are silently
+/// skipped; the reply's `root` is the first live target. Frontier edges
+/// (references leaving the batch) are reported so the requester can create
+/// proxy-outs; in cluster mode the caller supplies a fresh [`ClusterId`]
+/// via `next_cluster` and all frontier proxies will share one pair.
 ///
 /// # Errors
 ///
@@ -261,9 +243,9 @@ mod tests {
     #[test]
     fn incremental_batch_takes_exactly_n_with_one_frontier_edge() {
         let (space, refs) = list_space(10);
-        let batch = build_batch(
+        let batch = build_batch_many(
             &space,
-            refs[0].id(),
+            &[refs[0].id()],
             WireMode::Incremental { batch: 3 },
             cid,
         )
@@ -280,9 +262,9 @@ mod tests {
     #[test]
     fn batch_larger_than_graph_has_empty_frontier() {
         let (space, refs) = list_space(4);
-        let batch = build_batch(
+        let batch = build_batch_many(
             &space,
-            refs[0].id(),
+            &[refs[0].id()],
             WireMode::Incremental { batch: 100 },
             cid,
         )
@@ -294,7 +276,7 @@ mod tests {
     #[test]
     fn transitive_takes_everything() {
         let (space, refs) = list_space(50);
-        let batch = build_batch(&space, refs[0].id(), WireMode::Transitive, cid).unwrap();
+        let batch = build_batch_many(&space, &[refs[0].id()], WireMode::Transitive, cid).unwrap();
         assert_eq!(batch.replicas.len(), 50);
         assert!(batch.frontier.is_empty());
     }
@@ -302,7 +284,7 @@ mod tests {
     #[test]
     fn cluster_mode_stamps_cluster_id() {
         let (space, refs) = list_space(10);
-        let batch = build_batch(&space, refs[0].id(), WireMode::Cluster { size: 4 }, cid).unwrap();
+        let batch = build_batch_many(&space, &[refs[0].id()], WireMode::Cluster { size: 4 }, cid).unwrap();
         assert_eq!(batch.replicas.len(), 4);
         assert_eq!(batch.cluster, Some(cid()));
         assert_eq!(batch.frontier.len(), 1);
@@ -311,9 +293,9 @@ mod tests {
     #[test]
     fn mid_list_root_serves_the_suffix() {
         let (space, refs) = list_space(10);
-        let batch = build_batch(
+        let batch = build_batch_many(
             &space,
-            refs[7].id(),
+            &[refs[7].id()],
             WireMode::Incremental { batch: 5 },
             cid,
         )
@@ -327,9 +309,9 @@ mod tests {
     fn versions_travel_with_replicas() {
         let (mut space, refs) = list_space(2);
         space.meta_mut(refs[0].id()).unwrap().version = 9;
-        let batch = build_batch(
+        let batch = build_batch_many(
             &space,
-            refs[0].id(),
+            &[refs[0].id()],
             WireMode::Incremental { batch: 1 },
             cid,
         )
@@ -342,7 +324,7 @@ mod tests {
         let (space, _) = list_space(2);
         let ghost = ObjId::new(SiteId::new(9), 9);
         assert!(matches!(
-            build_batch(&space, ghost, WireMode::Transitive, cid),
+            build_batch_many(&space, &[ghost], WireMode::Transitive, cid),
             Err(ObiError::NoSuchObject(_))
         ));
     }
@@ -352,7 +334,7 @@ mod tests {
         let mut space = ObjectSpace::new(SiteId::new(2));
         let ghost = ObjRef::new(ObjId::new(SiteId::new(9), 77));
         let head = space.create(Box::new(LinkedItem::with_next(1, "h", ghost)));
-        let batch = build_batch(&space, head.id(), WireMode::Incremental { batch: 1 }, cid).unwrap();
+        let batch = build_batch_many(&space, &[head.id()], WireMode::Incremental { batch: 1 }, cid).unwrap();
         assert!(batch.frontier.is_empty());
     }
 
@@ -454,7 +436,7 @@ mod tests {
         root_item.set_next(Some(a));
         root_item.set_extra(vec![b]);
         let root = space.create(Box::new(root_item));
-        let batch = build_batch(&space, root.id(), WireMode::Incremental { batch: 3 }, cid).unwrap();
+        let batch = build_batch_many(&space, &[root.id()], WireMode::Incremental { batch: 3 }, cid).unwrap();
         let ids: Vec<ObjId> = batch.replicas.iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![root.id(), a.id(), b.id()]);
         assert_eq!(batch.frontier.len(), 1);

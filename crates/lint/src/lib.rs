@@ -870,7 +870,7 @@ fn fn_body_text(p: &Prepared, header: &str) -> String {
 }
 
 /// True when `token` occurs in `text` not followed by an identifier char
-/// (so `Message::Get` does not match `Message::GetMany`).
+/// (so `Message::Get` does not match `Message::GetChunk`).
 fn contains_token(text: &str, token: &str) -> bool {
     let mut from = 0;
     while let Some(pos) = text[from..].find(token) {

@@ -9,18 +9,22 @@ use obiwan_util::{
 };
 use obiwan_wire::{JoinInfo, Message, NameOp, ObiValue, ReplicaBatch, ReplicaState, WireMode};
 use obiwan_util::sync::Mutex;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Objects per chunk frame on the streaming demand path
-/// ([`RmiClient::get_many_stream`]).
+/// Objects per chunk frame when a demand streams ([`RmiClient::get`]).
 ///
 /// Small enough that the first chunk materializes within one link delay of
 /// arriving, large enough that per-frame overhead stays a rounding error on
-/// paper-testbed batches. Callers stream only when a batch exceeds this, so
-/// small batches keep the cheaper one-shot exchange.
+/// paper-testbed batches. Callers ask for chunks of this size only when a
+/// batch may exceed it; a batch asked for whole ([`WHOLE_BATCH`]) arrives
+/// as one chunk, which is also the call's only reply frame.
 pub const STREAM_CHUNK_OBJECTS: u32 = 8;
+
+/// The `chunk` value asking the provider for the whole batch in one chunk.
+pub const WHOLE_BATCH: u32 = 0;
 
 /// Issues OBIWAN requests from one site and correlates their replies.
 ///
@@ -301,112 +305,31 @@ impl RmiClient {
         }
     }
 
-    /// `get(mode)`: demand a replica batch rooted at the referenced object.
-    pub fn get(&self, target: &RemoteRef, mode: WireMode) -> Result<ReplicaBatch> {
-        self.get_with_deadline(target, mode, None)
-    }
-
-    /// [`RmiClient::get`] under an explicit deadline budget (`None` uses
-    /// the policy default) — how the demand pipeline threads one budget
-    /// through a whole prefetch sweep.
-    pub fn get_with_deadline(
-        &self,
-        target: &RemoteRef,
-        mode: WireMode,
-        deadline: Option<Deadline>,
-    ) -> Result<ReplicaBatch> {
-        let request = self.next_request();
-        self.metrics.incr_demand_round_trips();
-        let reply = self.round_trip_inner(
-            target.host(),
-            &Message::GetRequest {
-                request,
-                target: target.id(),
-                mode,
-            },
-            deadline,
-        )?;
-        match reply {
-            Message::GetReply { request: id, result } => {
-                self.check_correlation(request, Some(id))?;
-                result
-            }
-            other => Err(unexpected("GetReply", &other)),
-        }
-    }
-
-    /// Batched `get`: demand one merged replica batch covering every object
-    /// in `targets` hosted at `host`. Costs a single round-trip regardless
-    /// of how many targets there are — the point of the demand pipeline.
-    /// Idempotent, so lost messages are retried like `get`.
-    pub fn get_many(
-        &self,
-        host: SiteId,
-        targets: Vec<ObjId>,
-        mode: WireMode,
-    ) -> Result<ReplicaBatch> {
-        self.get_many_with_deadline(host, targets, mode, None)
-    }
-
-    /// [`RmiClient::get_many`] under an explicit deadline budget (`None`
-    /// uses the policy default).
-    pub fn get_many_with_deadline(
-        &self,
-        host: SiteId,
-        targets: Vec<ObjId>,
-        mode: WireMode,
-        deadline: Option<Deadline>,
-    ) -> Result<ReplicaBatch> {
-        let request = self.next_request();
-        self.metrics.incr_demand_round_trips();
-        let reply = self.round_trip_inner(
-            host,
-            &Message::GetManyRequest {
-                request,
-                targets,
-                mode,
-            },
-            deadline,
-        )?;
-        match reply {
-            Message::GetManyReply { request: id, result } => {
-                self.check_correlation(request, Some(id))?;
-                result
-            }
-            other => Err(unexpected("GetManyReply", &other)),
-        }
-    }
-
-    /// Streaming `get_many`: the provider's merged batch arrives as a
-    /// sequence of chunk frames, each delivered to `on_chunk` (in chunk
-    /// order, exactly once) as it comes off the wire — so the caller can
-    /// materialize chunk *k* while chunk *k + 1* is still in flight.
+    /// `get(mode)`: demand the merged replica batch rooted at every object
+    /// in `targets` hosted at `host` — the one demand exchange, serving
+    /// explicit `get`s, object faults, refreshes and prefetch alike.
     ///
-    /// Costs one demand round-trip however many chunks (and resumes) the
-    /// stream takes. Individual chunks lost, duplicated, or reordered by
-    /// the transport are reassembled here: out-of-order chunks park in a
-    /// bounded buffer, duplicates are dropped, and a stream whose terminal
-    /// frame reveals holes (or never arrives) is *resumed* — the same
-    /// request id is re-sent with `resume_from` at the reassembly frontier,
-    /// so the provider re-streams only the missing suffix.
-    pub fn get_many_stream(
+    /// The provider slices the batch `chunk` objects per frame
+    /// ([`WHOLE_BATCH`] for one frame). Each chunk is delivered to
+    /// `on_chunk` (in chunk order, exactly once) as it comes off the wire,
+    /// so the caller can materialize chunk *k* while chunk *k + 1* is still
+    /// in flight; the last chunk is the call's reply frame.
+    ///
+    /// Costs one demand round-trip however many chunks (and resumes) it
+    /// takes, all bounded by `deadline` (`None` uses the policy default).
+    /// Chunks lost, duplicated, or reordered by the transport are
+    /// reassembled here: out-of-order chunks park in a buffer bounded by
+    /// the stream's chunk count, duplicates and frames that contradict the
+    /// stream's count are dropped, and a stream whose reply reveals holes
+    /// (or never arrives) is *resumed* — the same request id is re-sent
+    /// with `resume_from` at the reassembly frontier, so the provider
+    /// re-streams only the missing suffix.
+    pub fn get(
         &self,
         host: SiteId,
         targets: Vec<ObjId>,
         mode: WireMode,
-        on_chunk: &mut dyn FnMut(u32, ReplicaBatch),
-    ) -> Result<()> {
-        self.get_many_stream_with_deadline(host, targets, mode, None, on_chunk)
-    }
-
-    /// [`RmiClient::get_many_stream`] under an explicit deadline budget
-    /// (`None` uses the policy default) bounding the whole stream,
-    /// resumes included.
-    pub fn get_many_stream_with_deadline(
-        &self,
-        host: SiteId,
-        targets: Vec<ObjId>,
-        mode: WireMode,
+        chunk: u32,
         deadline: Option<Deadline>,
         on_chunk: &mut dyn FnMut(u32, ReplicaBatch),
     ) -> Result<()> {
@@ -423,21 +346,28 @@ impl RmiClient {
             return Err(ObiError::SiteUnreachable(host));
         }
         self.clock.charge_cpu(self.costs.rmi_dispatch);
-        // Reassembly state lives *outside* the attempt loop: chunks already
-        // delivered stay delivered across resumes, and `next_expected` is
-        // exactly the `resume_from` a retry asks the provider for.
-        let mut next_expected: u32 = 0;
-        let mut parked: std::collections::BTreeMap<u32, ReplicaBatch> =
-            std::collections::BTreeMap::new();
+        // Chunks already delivered stay delivered across resumes, so the
+        // reassembly frontier lives outside the attempt loop and is exactly
+        // the `resume_from` a retry asks the provider for.
+        let mut stream = Reassembly::default();
+        let mut deliver = |index: u32, batch: ReplicaBatch| {
+            self.metrics.incr_demand_chunks();
+            let mut chunk_span = trace::span(&self.clock, "rpc.chunk")
+                .with_site(self.site)
+                .with_req(request);
+            chunk_span.set_value(u64::from(index));
+            on_chunk(index, batch);
+        };
         let mut attempt = 0u64;
         let mut backoff = policy.base_backoff;
         let outcome = loop {
-            let frame = Message::GetManyStreamRequest {
+            stream.restart();
+            let frame = Message::GetRequest {
                 request,
                 targets: targets.clone(),
                 mode,
-                chunk: STREAM_CHUNK_OBJECTS,
-                resume_from: next_expected,
+                chunk,
+                resume_from: stream.next,
             }
             .encode();
             self.clock.charge_cpu(self.costs.serialize(frame.len()));
@@ -445,35 +375,19 @@ impl RmiClient {
             let call = self.transport.call_stream(self.site, host, frame, &mut |raw| {
                 self.metrics.add_bytes_received(raw.len() as u64);
                 self.clock.charge_cpu(self.costs.serialize(raw.len()));
-                let Ok(Message::GetManyChunk {
+                // Anything but an in-range chunk of this request is a lost
+                // frame: the hole surfaces at the reply and a resume heals
+                // it.
+                if let Ok(Message::GetChunk {
                     request: id,
                     chunk_index,
-                    batch,
-                    ..
+                    total,
+                    result: Ok(batch),
                 }) = Message::decode(&raw)
-                else {
-                    // An undecodable or foreign frame is a lost chunk: the
-                    // hole surfaces at the terminal and the resume heals it.
-                    return;
-                };
-                if id != request
-                    || chunk_index < next_expected
-                    || parked.contains_key(&chunk_index)
                 {
-                    // Stray correlation or duplicate delivery: drop.
-                    return;
-                }
-                parked.insert(chunk_index, batch);
-                // Deliver the now-contiguous prefix in order.
-                while let Some(batch) = parked.remove(&next_expected) {
-                    let index = next_expected;
-                    next_expected += 1;
-                    self.metrics.incr_demand_chunks();
-                    let mut chunk_span = trace::span(&self.clock, "rpc.chunk")
-                        .with_site(self.site)
-                        .with_req(request);
-                    chunk_span.set_value(index as u64);
-                    on_chunk(index, batch);
+                    if id == request {
+                        stream.offer(chunk_index, total, batch, &mut deliver);
+                    }
                 }
             });
             let failure = match call {
@@ -481,41 +395,29 @@ impl RmiClient {
                     self.clock.charge_cpu(self.costs.serialize(reply.len()));
                     self.metrics.add_bytes_received(reply.len() as u64);
                     match Message::decode(&reply) {
-                        Ok(Message::GetManyDone {
+                        Ok(Message::GetChunk {
                             request: id,
-                            total_chunks,
+                            chunk_index,
+                            total,
                             result,
                         }) => {
                             if let Err(e) = self.check_correlation(request, Some(id)) {
                                 break Err(e);
                             }
                             match result {
-                                Ok(()) if next_expected >= total_chunks => break Ok(()),
-                                // Lost chunks left a hole below the
-                                // terminal's count: resume, don't restart.
-                                Ok(()) => None,
-                                Err(e) => break Err(e),
-                            }
-                        }
-                        // A transport with no streaming path degrades to the
-                        // one-shot merged reply: accept it as the whole
-                        // stream in one implicit chunk.
-                        Ok(Message::GetManyReply { request: id, result })
-                            if next_expected == 0 =>
-                        {
-                            if let Err(e) = self.check_correlation(request, Some(id)) {
-                                break Err(e);
-                            }
-                            match result {
                                 Ok(batch) => {
-                                    self.metrics.incr_demand_chunks();
-                                    on_chunk(0, batch);
-                                    break Ok(());
+                                    stream.offer(chunk_index, total, batch, &mut deliver);
+                                    if stream.is_complete() {
+                                        break Ok(());
+                                    }
+                                    // Lost chunks left a hole below the
+                                    // reply: resume, don't restart.
+                                    None
                                 }
                                 Err(e) => break Err(e),
                             }
                         }
-                        Ok(other) => break Err(unexpected("GetManyDone", &other)),
+                        Ok(other) => break Err(unexpected("GetChunk", &other)),
                         Err(e) => break Err(e),
                     }
                 }
@@ -523,8 +425,7 @@ impl RmiClient {
                 Err(e) => break Err(e),
             };
             if attempt >= policy.max_retries {
-                break Err(failure
-                    .unwrap_or(ObiError::Timeout { to: host }));
+                break Err(failure.unwrap_or(ObiError::Timeout { to: host }));
             }
             if deadline.expired(&self.clock) {
                 break Err(ObiError::Timeout { to: host });
@@ -725,6 +626,57 @@ impl RmiClient {
     }
 }
 
+/// Client-side reassembly of one demand stream: delivers chunks in order,
+/// exactly once, whatever order the transport hands them over in.
+#[derive(Default)]
+struct Reassembly {
+    /// Chunks `0..next` are delivered; `next` is the resume point.
+    next: u32,
+    /// The chunk count announced by the current attempt's first frame.
+    total: Option<u32>,
+    /// Chunks past a hole, keyed by index. Every key is below `total`, so
+    /// the buffer never holds more than one attempt's chunk count.
+    parked: BTreeMap<u32, ReplicaBatch>,
+}
+
+impl Reassembly {
+    /// Starts an attempt. The provider re-slices the batch for every
+    /// attempt, so its count may differ from the last one's: chunks parked
+    /// past the hole are dropped (the resume re-sends them).
+    fn restart(&mut self) {
+        self.total = None;
+        self.parked.clear();
+    }
+
+    /// Takes one chunk, then delivers the contiguous prefix. A chunk past
+    /// its own total, or whose total contradicts the attempt's first one,
+    /// is treated as lost; a chunk already delivered or parked is dropped.
+    fn offer(
+        &mut self,
+        index: u32,
+        total: u32,
+        batch: ReplicaBatch,
+        deliver: &mut dyn FnMut(u32, ReplicaBatch),
+    ) {
+        if index >= total || *self.total.get_or_insert(total) != total {
+            return;
+        }
+        if index < self.next || self.parked.contains_key(&index) {
+            return;
+        }
+        self.parked.insert(index, batch);
+        while let Some(batch) = self.parked.remove(&self.next) {
+            deliver(self.next, batch);
+            self.next += 1;
+        }
+    }
+
+    /// True once every chunk of the attempt's stream is delivered.
+    fn is_complete(&self) -> bool {
+        self.total.is_some_and(|total| self.next >= total)
+    }
+}
+
 fn unexpected(wanted: &str, got: &Message) -> ObiError {
     // Decode-failure Acks from the server carry the real error; surface it.
     if let Message::Ack { result: Err(e), .. } = got {
@@ -799,8 +751,16 @@ mod tests {
     #[test]
     fn unsupported_get_surfaces_server_error() {
         let (client, _net, _clock) = rig();
-        let target = RemoteRef::to_master(ObjId::new(SiteId::new(2), 1));
-        let err = client.get(&target, WireMode::Transitive).unwrap_err();
+        let err = client
+            .get(
+                SiteId::new(2),
+                vec![ObjId::new(SiteId::new(2), 1)],
+                WireMode::Transitive,
+                WHOLE_BATCH,
+                None,
+                &mut |_, _| panic!("no chunks on a failed demand"),
+            )
+            .unwrap_err();
         assert!(matches!(err, ObiError::NoSuchObject(_)));
     }
 
@@ -1056,12 +1016,14 @@ mod retry_tests {
         let mut ids = Vec::new();
         let mut frontier_edges = 0usize;
         client
-            .get_many_stream(
+            .get(
                 SiteId::new(2),
                 vec![ObjId::new(SiteId::new(2), 1)],
                 WireMode::Incremental {
                     batch: objects_expected as u32,
                 },
+                STREAM_CHUNK_OBJECTS,
+                None,
                 &mut |index, batch| {
                     indices.push(index);
                     ids.extend(batch.replicas.iter().map(|r| r.id.local()));
@@ -1073,7 +1035,7 @@ mod retry_tests {
     }
 
     #[test]
-    fn streamed_get_many_delivers_every_chunk_in_order_for_one_round_trip() {
+    fn streamed_demand_delivers_every_chunk_in_order_for_one_round_trip() {
         let (client, _net, svc) = stream_rig(20, LinkModel::ideal(), 5);
         let (indices, ids, frontier_edges) = collect_chunks(&client, 20);
         assert_eq!(indices, vec![0, 1, 2], "20 objects at 8/chunk is 3 chunks");
@@ -1087,7 +1049,7 @@ mod retry_tests {
     }
 
     #[test]
-    fn streamed_get_many_resumes_across_chunk_loss_without_double_delivery() {
+    fn streamed_demand_resumes_across_chunk_loss_without_double_delivery() {
         let (client, _net, svc) = stream_rig(
             64,
             LinkModel::ideal().with_chunk_loss(0.3),
@@ -1115,7 +1077,7 @@ mod retry_tests {
     }
 
     #[test]
-    fn streamed_get_many_survives_chunk_duplication_and_reordering() {
+    fn streamed_demand_survives_chunk_duplication_and_reordering() {
         let (client, _net, _svc) = stream_rig(
             40,
             LinkModel::ideal()
@@ -1130,11 +1092,11 @@ mod retry_tests {
     }
 
     #[test]
-    fn streamed_get_many_degrades_to_one_shot_on_plain_handlers() {
+    fn plain_handlers_answer_a_streamed_demand_with_one_chunk() {
         let (client, net, svc) = stream_rig(20, LinkModel::ideal(), 5);
         // Re-register site 2 behind a closure handler: its default
         // `handle_stream` never streams, so the server pump answers the
-        // stream request with a one-shot merged reply.
+        // demand with the whole batch as a one-chunk stream.
         let server = Arc::new(RmiServer::new(svc.clone()));
         net.register(
             SiteId::new(2),
@@ -1148,20 +1110,166 @@ mod retry_tests {
     }
 
     #[test]
-    fn streamed_get_many_surfaces_provider_errors() {
+    fn streamed_demand_surfaces_provider_errors() {
         let (client, net, _svc) = stream_rig(4, LinkModel::ideal(), 5);
         // A provider with no objects behind an EchoService: `get_many`
-        // reports NoSuchObject through the stream terminal.
+        // reports NoSuchObject through the reply frame.
         net.register(SiteId::new(3), Arc::new(RmiServer::new(Arc::new(EchoService))));
         let err = client
-            .get_many_stream(
+            .get(
                 SiteId::new(3),
                 vec![ObjId::new(SiteId::new(3), 1)],
                 WireMode::Incremental { batch: 4 },
+                STREAM_CHUNK_OBJECTS,
+                None,
                 &mut |_, _| panic!("no chunks on a failed stream"),
             )
             .unwrap_err();
         assert!(matches!(err, ObiError::NoSuchObject(_)));
+    }
+
+    /// A faulty provider: on its first `hostile` answers it streams
+    /// `junk` chunks whose indices lie past their own total, then a reply
+    /// whose total contradicts the stream's; afterwards it answers
+    /// honestly, resuming where asked.
+    struct HostileProvider {
+        hostile: u64,
+        junk: u32,
+        answers: AtomicU64,
+    }
+
+    impl MessageHandler for HostileProvider {
+        fn handle(&self, from: SiteId, frame: bytes::Bytes) -> Option<bytes::Bytes> {
+            self.handle_stream(from, frame, &mut |_| {})
+        }
+
+        fn handle_stream(
+            &self,
+            _from: SiteId,
+            frame: bytes::Bytes,
+            sink: &mut dyn FnMut(bytes::Bytes),
+        ) -> Option<bytes::Bytes> {
+            let Ok(Message::GetRequest {
+                request,
+                resume_from,
+                ..
+            }) = Message::decode(&frame)
+            else {
+                return None;
+            };
+            let chunk = |chunk_index: u32, total: u32| {
+                Message::GetChunk {
+                    request,
+                    chunk_index,
+                    total,
+                    result: Ok(ReplicaBatch {
+                        root: ObjId::new(SiteId::new(2), 1),
+                        replicas: vec![ReplicaState {
+                            id: ObjId::new(SiteId::new(2), u64::from(chunk_index) + 1),
+                            class: "Node".into(),
+                            version: 1,
+                            state: bytes::Bytes::from_static(b"s"),
+                        }],
+                        frontier: Vec::new(),
+                        cluster: None,
+                    }),
+                }
+                .encode()
+            };
+            if self.answers.fetch_add(1, Ordering::Relaxed) < self.hostile {
+                for i in 0..self.junk {
+                    sink(chunk(2 + i, 2));
+                }
+                // Chunk 0 of a 2-chunk stream, then a reply claiming 3.
+                sink(chunk(0, 2));
+                return Some(chunk(1, 3));
+            }
+            for i in resume_from..1 {
+                sink(chunk(i, 2));
+            }
+            Some(chunk(1, 2))
+        }
+    }
+
+    fn hostile_rig(hostile: u64) -> RmiClient {
+        let clock = Clock::new(ClockMode::VirtualOnly);
+        let net = Arc::new(SimTransport::new(clock.clone(), conditions::paper_lan()));
+        net.register(
+            SiteId::new(2),
+            Arc::new(HostileProvider {
+                hostile,
+                junk: 10_000,
+                answers: AtomicU64::new(0),
+            }),
+        );
+        let client = RmiClient::new(SiteId::new(1), net, clock, CostModel::free());
+        client.set_retries(3);
+        client
+    }
+
+    fn demand_two_chunks(client: &RmiClient) -> (Result<()>, Vec<u32>) {
+        let mut indices = Vec::new();
+        let out = client.get(
+            SiteId::new(2),
+            vec![ObjId::new(SiteId::new(2), 1)],
+            WireMode::Incremental { batch: 2 },
+            1,
+            None,
+            &mut |index, _| indices.push(index),
+        );
+        (out, indices)
+    }
+
+    #[test]
+    fn out_of_range_chunks_are_lost_frames_and_a_resume_heals_them() {
+        let client = hostile_rig(1);
+        let (out, indices) = demand_two_chunks(&client);
+        out.expect("the honest resume completes the stream");
+        // None of the 10 000 junk chunks was delivered; chunk 0 of the
+        // first attempt was, and the contradicting reply was dropped.
+        assert_eq!(indices, vec![0, 1]);
+        let snap = client.metrics().snapshot();
+        assert_eq!(snap.demand_chunks, 2);
+        assert_eq!(snap.stream_resumes, 1);
+    }
+
+    #[test]
+    fn a_provider_that_never_stops_lying_fails_with_a_typed_error() {
+        let client = hostile_rig(u64::MAX);
+        let (out, indices) = demand_two_chunks(&client);
+        assert!(matches!(out, Err(ObiError::Timeout { .. })), "{out:?}");
+        assert_eq!(indices, vec![0], "only the in-range chunk was delivered");
+        // Retries or the call's deadline (junk frames cost link time) end
+        // the resumes, whichever runs out first.
+        let resumes = client.metrics().snapshot().stream_resumes;
+        assert!((1..=3).contains(&resumes), "{resumes} resumes");
+    }
+
+    #[test]
+    fn reassembly_parks_only_in_range_chunks() {
+        let batch = || ReplicaBatch {
+            root: ObjId::new(SiteId::new(2), 1),
+            replicas: Vec::new(),
+            frontier: Vec::new(),
+            cluster: None,
+        };
+        let mut stream = Reassembly::default();
+        let mut delivered = Vec::new();
+        let mut deliver = |index: u32, _: ReplicaBatch| delivered.push(index);
+        // Chunk 0 is missing, so everything in range parks behind it.
+        stream.offer(2, 4, batch(), &mut deliver);
+        for index in 4..10_000 {
+            stream.offer(index, 4, batch(), &mut deliver);
+        }
+        stream.offer(1, 9, batch(), &mut deliver);
+        stream.offer(3, 4, batch(), &mut deliver);
+        stream.offer(3, 4, batch(), &mut deliver);
+        assert_eq!(stream.parked.len(), 2, "only chunks 2 and 3 park");
+        stream.offer(0, 4, batch(), &mut deliver);
+        stream.offer(1, 4, batch(), &mut deliver);
+        assert_eq!(delivered, vec![0, 1, 2, 3]);
+        assert!(stream.is_complete());
+        assert!(stream.parked.is_empty());
     }
 
     #[test]

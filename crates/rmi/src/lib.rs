@@ -58,7 +58,7 @@ pub mod remote_ref;
 pub mod server;
 pub mod service;
 
-pub use client::{RmiClient, STREAM_CHUNK_OBJECTS};
+pub use client::{RmiClient, STREAM_CHUNK_OBJECTS, WHOLE_BATCH};
 pub use fault::{
     BreakerConfig, BreakerState, CircuitBreaker, Deadline, HorizonTracker, ReplyCache,
     RetryPolicy,

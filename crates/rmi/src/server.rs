@@ -115,34 +115,6 @@ impl RmiServer {
                 request,
                 result: self.service.invoke(from, target, &method, args),
             }),
-            Message::GetRequest {
-                request,
-                target,
-                mode,
-            } => Some(Message::GetReply {
-                request,
-                result: self.service.get(from, target, mode),
-            }),
-            Message::GetManyRequest {
-                request,
-                targets,
-                mode,
-            } => Some(Message::GetManyReply {
-                request,
-                result: self.service.get_many(from, &targets, mode),
-            }),
-            // A stream request arriving through the one-shot pump (a
-            // transport without a streaming path) degrades to the merged
-            // reply; the client accepts it as a single implicit chunk.
-            Message::GetManyStreamRequest {
-                request,
-                targets,
-                mode,
-                ..
-            } => Some(Message::GetManyReply {
-                request,
-                result: self.service.get_many(from, &targets, mode),
-            }),
             Message::PutRequest { request, entries } => Some(Message::PutReply {
                 request,
                 result: self.service.put(from, entries),
@@ -187,16 +159,13 @@ impl RmiServer {
                 self.service.update_push(from, entries);
                 None
             }
-            // Handled (cache pruning) in `handle` before dispatch; the arm
-            // keeps the match exhaustive.
-            Message::AckHorizon { .. } => None,
+            // Handled (cache pruning, demand streams) in `handle` before
+            // dispatch; the arm keeps the match exhaustive.
+            Message::AckHorizon { .. } | Message::GetRequest { .. } => None,
             // Replies arriving here are protocol violations; the synchronous
             // transports never produce them, so drop silently.
             Message::InvokeReply { .. }
-            | Message::GetReply { .. }
-            | Message::GetManyReply { .. }
-            | Message::GetManyChunk { .. }
-            | Message::GetManyDone { .. }
+            | Message::GetChunk { .. }
             | Message::PutReply { .. }
             | Message::NameReply { .. }
             | Message::Ack { .. }
@@ -206,23 +175,74 @@ impl RmiServer {
         }
     }
 
-    /// Executes one streamed `get_many`: slices the merged batch into
-    /// [`Message::GetManyChunk`] frames pushed through `sink` (skipping
-    /// indices below `resume_from`), and returns the encoded
-    /// [`Message::GetManyDone`] terminal.
+    /// Admits one request through the [`ReplyCache`]: either the frame
+    /// that answers it without running the service, or leave to run it
+    /// (`true` when this call owns the id's slot and must `complete` it).
+    /// A cached or concurrently produced reply answers only if `answers`
+    /// accepts it; otherwise the request runs again, uncached.
+    fn admit(
+        &self,
+        from: SiteId,
+        request: Option<RequestId>,
+        span: &mut trace::SpanGuard,
+        answers: impl Fn(&Bytes) -> bool,
+    ) -> Admitted {
+        let now_nanos = self.clock.elapsed().as_nanos() as u64;
+        self.reap_abandoned_slots(now_nanos);
+        // Only cache under ids the sender itself issued: a relayed or
+        // spoofed origin must not let one site poison another's retry
+        // slots.
+        let Some(id) = request.filter(|id| id.origin() == from) else {
+            return Admitted::Run(false);
+        };
+        let mut reuse = |frame: Bytes| {
+            if !answers(&frame) {
+                return Admitted::Run(false);
+            }
+            self.metrics.incr_cached_replies();
+            // Value 1 marks a reply served from the cache (an elided
+            // re-execution).
+            span.set_value(1);
+            Admitted::Reply(frame)
+        };
+        // Under worker-pool dispatch two copies of one request can race;
+        // `begin` admits exactly one executor per id and parks the rest,
+        // so mutating requests stay exactly-once.
+        match self.replies.begin(id, now_nanos) {
+            Admit::Execute => Admitted::Run(true),
+            Admit::Cached(frame) => reuse(frame),
+            Admit::Wait(rx) => match rx.recv_timeout(Self::IN_FLIGHT_WAIT) {
+                Ok(Some(frame)) => reuse(frame),
+                // The executor ran the request but produced no reply
+                // frame; answer with the same generic error it did,
+                // without re-running.
+                Ok(None) => Admitted::Reply(no_reply(id)),
+                // The executing worker vanished without publishing
+                // (handler panic): degrade to executing ourselves,
+                // uncached.
+                Err(_) => Admitted::Run(false),
+            },
+        }
+    }
+
+    /// Serves one demand: slices the merged batch into
+    /// [`Message::GetChunk`] frames of `chunk` objects ([`WHOLE_BATCH`]
+    /// for one), pushes every chunk but the last through `sink` (skipping
+    /// indices below `resume_from`), and returns the last chunk — or the
+    /// error — as the encoded reply frame.
     ///
     /// The [`RmiService::get_many`] call releases every shard guard before
     /// returning its batch, so no lock is ever held across a `sink` send.
-    /// Only the *terminal* frame enters the [`ReplyCache`] — caching whole
-    /// batches per request id would multiply the cache's footprint by the
-    /// batch size. A retransmitted or resumed request id therefore
-    /// re-executes the (read-only) `get_many` and re-slices fresh chunks:
-    /// sound because the client's version-guarded materialization makes
-    /// chunk re-delivery idempotent, and necessary so a resume actually
-    /// receives the suffix it is missing rather than a chunkless cached
-    /// terminal.
+    /// Only the reply frame enters the [`ReplyCache`]. A retransmission
+    /// whose client lacks only that frame is answered from the cache; one
+    /// that resumes further back re-executes the (read-only) `get_many` and
+    /// re-slices fresh chunks, because the cache holds none of the earlier
+    /// ones — sound, since the client's version-guarded materialization
+    /// makes chunk re-delivery idempotent.
+    ///
+    /// [`WHOLE_BATCH`]: crate::WHOLE_BATCH
     #[allow(clippy::too_many_arguments)]
-    fn stream_get_many(
+    fn serve_get(
         &self,
         from: SiteId,
         request: RequestId,
@@ -233,46 +253,23 @@ impl RmiServer {
         sink: &mut dyn FnMut(Bytes),
     ) -> Bytes {
         let mut span = trace::span(&self.clock, "rpc.handle").with_req(request);
-        let now_nanos = self.clock.elapsed().as_nanos() as u64;
-        self.reap_abandoned_slots(now_nanos);
-        let cache_key = Some(request).filter(|id| id.origin() == from);
-        let mut executor = false;
-        if let Some(id) = cache_key {
-            match self.replies.begin(id, now_nanos) {
-                Admit::Execute => executor = true,
-                // Already answered once: count the elided execution, then
-                // stream afresh anyway (see above — the resume needs live
-                // chunks, which the cache deliberately does not hold).
-                Admit::Cached(_) => {
-                    self.metrics.incr_cached_replies();
-                    span.set_value(1);
-                }
-                Admit::Wait(rx) => match rx.recv_timeout(Self::IN_FLIGHT_WAIT) {
-                    // A concurrent duplicate parks for the executor's
-                    // terminal and answers with it, chunkless: the client
-                    // that cares will resume and hit the Cached arm above.
-                    Ok(Some(frame)) => {
-                        self.metrics.incr_cached_replies();
-                        span.set_value(1);
-                        return frame;
-                    }
-                    Ok(None) => {
-                        return Message::Ack {
-                            request,
-                            result: Err(obiwan_util::ObiError::Internal(
-                                "request produced no reply".into(),
-                            )),
-                        }
-                        .encode();
-                    }
-                    // Executor vanished (handler panic): run it ourselves,
-                    // uncached.
-                    Err(_) => {}
-                },
-            }
-        }
-        let per_chunk = chunk.max(1) as usize;
-        let terminal = match self.service.get_many(from, targets, mode) {
+        let answers = |frame: &Bytes| match Message::decode(frame) {
+            Ok(Message::GetChunk {
+                chunk_index,
+                result,
+                ..
+            }) => result.is_err() || chunk_index == resume_from,
+            _ => true,
+        };
+        let executor = match self.admit(from, Some(request), &mut span, answers) {
+            Admitted::Reply(frame) => return frame,
+            Admitted::Run(executor) => executor,
+        };
+        let per_chunk = match chunk {
+            crate::WHOLE_BATCH => usize::MAX,
+            n => n as usize,
+        };
+        let reply = match self.service.get_many(from, targets, mode) {
             Ok(batch) => {
                 let ReplicaBatch {
                     root,
@@ -280,56 +277,66 @@ impl RmiServer {
                     mut frontier,
                     cluster,
                 } = batch;
-                // An empty batch still streams one (empty) chunk so the
+                // An empty batch still makes one (empty) chunk so the
                 // frontier has a frame to ride on. Replicas are moved into
                 // their chunks, never copied.
-                let total_chunks = replicas.len().div_ceil(per_chunk).max(1) as u32;
+                let total = replicas.len().div_ceil(per_chunk).max(1) as u32;
                 let mut rest = replicas.into_iter();
-                for index in 0..total_chunks {
-                    let replicas: Vec<_> = rest.by_ref().take(per_chunk).collect();
-                    if index < resume_from {
-                        continue;
-                    }
-                    let frontier = if index + 1 == total_chunks {
-                        std::mem::take(&mut frontier)
-                    } else {
-                        Vec::new()
-                    };
-                    sink(
-                        Message::GetManyChunk {
-                            request,
-                            chunk_index: index,
-                            total_hint: total_chunks,
-                            batch: ReplicaBatch {
-                                root,
-                                replicas,
-                                frontier,
-                                cluster,
-                            },
-                        }
-                        .encode(),
-                    );
-                }
-                Message::GetManyDone {
+                let mut slice = |index: u32| Message::GetChunk {
                     request,
-                    total_chunks,
-                    result: Ok(()),
+                    chunk_index: index,
+                    total,
+                    result: Ok(ReplicaBatch {
+                        root,
+                        replicas: rest.by_ref().take(per_chunk).collect(),
+                        frontier: if index + 1 == total {
+                            std::mem::take(&mut frontier)
+                        } else {
+                            Vec::new()
+                        },
+                        cluster,
+                    }),
+                };
+                for index in 0..total - 1 {
+                    let chunk = slice(index);
+                    if index >= resume_from {
+                        sink(chunk.encode());
+                    }
                 }
+                slice(total - 1)
             }
-            Err(e) => Message::GetManyDone {
+            Err(e) => Message::GetChunk {
                 request,
-                total_chunks: 0,
+                chunk_index: 0,
+                total: 0,
                 result: Err(e),
             },
-        };
-        let frame = terminal.encode();
-        if executor {
-            if let Some(id) = cache_key {
-                self.replies.complete(id, Some(frame.clone()));
-            }
         }
-        frame
+        .encode();
+        if executor {
+            self.replies.complete(request, Some(reply.clone()));
+        }
+        reply
     }
+}
+
+/// What [`RmiServer::admit`] decided for one request.
+enum Admitted {
+    /// Answer with this frame; the service does not run.
+    Reply(Bytes),
+    /// Run the service; `true` when the reply must complete the id's slot.
+    Run(bool),
+}
+
+/// The generic error answering a request whose execution produced no reply.
+fn no_reply(request: RequestId) -> Bytes {
+    Message::Ack {
+        request,
+        result: Err(obiwan_util::ObiError::Internal(
+            "request produced no reply".into(),
+        )),
+    }
+    .encode()
 }
 
 impl MessageHandler for RmiServer {
@@ -339,9 +346,9 @@ impl MessageHandler for RmiServer {
         frame: Bytes,
         sink: &mut dyn FnMut(Bytes),
     ) -> Option<Bytes> {
-        // Only stream requests take the chunked path; every other frame —
-        // including undecodable garbage — goes through the one-shot pump.
-        if let Ok(Message::GetManyStreamRequest {
+        // Only demands stream; every other frame — including undecodable
+        // garbage — goes through the one-shot pump.
+        if let Ok(Message::GetRequest {
             request,
             targets,
             mode,
@@ -349,9 +356,7 @@ impl MessageHandler for RmiServer {
             resume_from,
         }) = Message::decode(&frame)
         {
-            return Some(
-                self.stream_get_many(from, request, &targets, mode, chunk, resume_from, sink),
-            );
+            return Some(self.serve_get(from, request, &targets, mode, chunk, resume_from, sink));
         }
         self.handle(from, frame)
     }
@@ -362,6 +367,23 @@ impl MessageHandler for RmiServer {
                 self.replies.ack_horizon(from, up_to);
                 None
             }
+            // No streaming path (a plain transport, or a wrapper that only
+            // forwards `handle`): the whole batch is a one-chunk stream.
+            Ok(Message::GetRequest {
+                request,
+                targets,
+                mode,
+                resume_from,
+                ..
+            }) => Some(self.serve_get(
+                from,
+                request,
+                &targets,
+                mode,
+                crate::WHOLE_BATCH,
+                resume_from,
+                &mut |_| {},
+            )),
             Ok(msg) => {
                 let is_request = msg.is_request();
                 let request = msg.request_id();
@@ -369,94 +391,26 @@ impl MessageHandler for RmiServer {
                 if let Some(id) = request {
                     span = span.with_req(id);
                 }
-                // Only cache under ids the sender itself issued: a relayed
-                // or spoofed origin must not let one site poison another's
-                // retry slots.
-                let cache_key = request.filter(|id| id.origin() == from);
-                let now_nanos = self.clock.elapsed().as_nanos() as u64;
-                self.reap_abandoned_slots(now_nanos);
-                // Under worker-pool dispatch two copies of one request can
-                // race; `begin` admits exactly one executor per id and
-                // parks the rest, so mutating requests stay exactly-once.
-                let mut executor = false;
-                if let Some(id) = cache_key {
-                    match self.replies.begin(id, now_nanos) {
-                        Admit::Execute => executor = true,
-                        Admit::Cached(cached) => {
-                            self.metrics.incr_cached_replies();
-                            // Value 1 marks a reply served from the cache
-                            // (an elided re-execution).
-                            span.set_value(1);
-                            return Some(cached);
-                        }
-                        Admit::Wait(rx) => {
-                            match rx.recv_timeout(Self::IN_FLIGHT_WAIT) {
-                                Ok(Some(frame)) => {
-                                    self.metrics.incr_cached_replies();
-                                    span.set_value(1);
-                                    return Some(frame);
-                                }
-                                // The executor ran the request but produced
-                                // no reply frame; answer with the same
-                                // generic error it did, without re-running.
-                                Ok(None) => {
-                                    return request.map(|request| {
-                                        Message::Ack {
-                                            request,
-                                            result: Err(obiwan_util::ObiError::Internal(
-                                                "request produced no reply".into(),
-                                            )),
-                                        }
-                                        .encode()
-                                    });
-                                }
-                                // The executing worker vanished without
-                                // publishing (handler panic): degrade to
-                                // executing ourselves, uncached.
-                                Err(_) => {}
-                            }
-                        }
+                let executor = match self.admit(from, request, &mut span, |_| true) {
+                    Admitted::Reply(frame) => return Some(frame),
+                    Admitted::Run(executor) => executor,
+                };
+                let reply = self.dispatch(from, msg).map(|reply| reply.encode());
+                if executor {
+                    if let Some(id) = request {
+                        self.replies.complete(id, reply.clone());
                     }
                 }
-                match self.dispatch(from, msg) {
-                    Some(reply) => {
-                        let frame = reply.encode();
-                        if executor {
-                            if let Some(id) = cache_key {
-                                self.replies.complete(id, Some(frame.clone()));
-                            }
-                        }
-                        Some(frame)
-                    }
-                    // A request must always be answered; if dispatch produced
-                    // nothing (cannot happen for well-formed requests), send
-                    // a generic error rather than stalling the caller.
-                    None if is_request => {
-                        if executor {
-                            if let Some(id) = cache_key {
-                                self.replies.complete(id, None);
-                            }
-                        }
-                        request.map(|request| {
-                            Message::Ack {
-                                request,
-                                result: Err(obiwan_util::ObiError::Internal(
-                                    "request produced no reply".into(),
-                                )),
-                            }
-                            .encode()
-                        })
-                    }
+                match reply {
+                    Some(frame) => Some(frame),
+                    // A request must always be answered; if dispatch
+                    // produced nothing (cannot happen for well-formed
+                    // requests), send a generic error rather than stalling
+                    // the caller.
+                    None if is_request => request.map(no_reply),
                     // One-way frames (and stray replies, which do carry a
-                    // request id): release the in-flight slot if we took it.
-                    None => {
-                        if executor {
-                            if let Some(id) = cache_key {
-                                self.replies.complete(id, None);
-                            }
-                        }
-                        None
-                    }
+                    // request id).
+                    None => None,
                 }
             }
             Err(e) => {
@@ -547,13 +501,15 @@ mod tests {
         let s = server();
         let frame = Message::GetRequest {
             request: rid(),
-            target: oid(),
+            targets: vec![oid()],
             mode: obiwan_wire::WireMode::Transitive,
+            chunk: crate::WHOLE_BATCH,
+            resume_from: 0,
         }
         .encode();
         let reply = Message::decode(&s.handle(SiteId::new(1), frame).unwrap()).unwrap();
         match reply {
-            Message::GetReply { result, .. } => assert!(result.is_err()),
+            Message::GetChunk { result, .. } => assert!(result.is_err()),
             other => panic!("unexpected reply {other:?}"),
         }
     }
@@ -864,7 +820,7 @@ mod tests {
     }
 
     fn stream_frame(seq: u64, chunk: u32, resume_from: u32) -> Bytes {
-        Message::GetManyStreamRequest {
+        Message::GetRequest {
             request: RequestId::new(SiteId::new(1), seq),
             targets: vec![oid()],
             mode: obiwan_wire::WireMode::Incremental { batch: 8 },
@@ -874,98 +830,108 @@ mod tests {
         .encode()
     }
 
-    fn collect_stream(s: &RmiServer, frame: Bytes) -> (Vec<Message>, Message) {
+    /// Streams one demand; returns `(chunk_index, total, batch)` for every
+    /// sink frame and then the reply frame.
+    fn collect_stream(s: &RmiServer, frame: Bytes) -> Vec<(u32, u32, ReplicaBatch)> {
         let mut chunks = Vec::new();
-        let terminal = s
-            .handle_stream(SiteId::new(1), frame, &mut |raw| {
-                chunks.push(Message::decode(&raw).unwrap());
-            })
-            .expect("stream requests always answer");
-        (chunks, Message::decode(&terminal).unwrap())
-    }
-
-    #[test]
-    fn stream_request_slices_chunks_with_the_frontier_on_the_last() {
-        let s = RmiServer::new(Arc::new(BatchService::new(20)));
-        let (chunks, terminal) = collect_stream(&s, stream_frame(1, 8, 0));
-        // 20 objects at 8 per chunk: 8 + 8 + 4.
-        assert_eq!(chunks.len(), 3);
-        for (i, c) in chunks.iter().enumerate() {
-            match c {
-                Message::GetManyChunk {
+        let reply = s
+            .handle_stream(SiteId::new(1), frame, &mut |raw| chunks.push(raw))
+            .expect("demands always answer");
+        chunks.push(reply);
+        chunks
+            .iter()
+            .map(|raw| match Message::decode(raw).unwrap() {
+                Message::GetChunk {
                     chunk_index,
-                    total_hint,
-                    batch,
+                    total,
+                    result: Ok(batch),
                     ..
-                } => {
-                    assert_eq!(*chunk_index, i as u32);
-                    assert_eq!(*total_hint, 3);
-                    let want = if i == 2 { 4 } else { 8 };
-                    assert_eq!(batch.replicas.len(), want, "chunk {i}");
-                    if i == 2 {
-                        assert_eq!(batch.frontier.len(), 2, "frontier rides the last chunk");
-                    } else {
-                        assert!(batch.frontier.is_empty(), "chunk {i} must carry no frontier");
-                    }
-                }
-                other => panic!("unexpected stream frame {other:?}"),
+                } => (chunk_index, total, batch),
+                other => panic!("unexpected demand frame {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn demand_slices_chunks_and_the_last_one_is_the_reply() {
+        let s = RmiServer::new(Arc::new(BatchService::new(20)));
+        let chunks = collect_stream(&s, stream_frame(1, 8, 0));
+        // 20 objects at 8 per chunk: 8 + 8 through the sink, then the
+        // reply frame carries the last 4 and the frontier.
+        assert_eq!(chunks.len(), 3);
+        for (i, (index, total, batch)) in chunks.iter().enumerate() {
+            assert_eq!(*index, i as u32);
+            assert_eq!(*total, 3);
+            let want = if i == 2 { 4 } else { 8 };
+            assert_eq!(batch.replicas.len(), want, "chunk {i}");
+            if i == 2 {
+                assert_eq!(batch.frontier.len(), 2, "frontier rides the last chunk");
+            } else {
+                assert!(batch.frontier.is_empty(), "chunk {i} must carry no frontier");
             }
-        }
-        match terminal {
-            Message::GetManyDone {
-                total_chunks,
-                result,
-                ..
-            } => {
-                assert_eq!(total_chunks, 3);
-                assert!(result.is_ok());
-            }
-            other => panic!("unexpected terminal {other:?}"),
         }
     }
 
     #[test]
-    fn resumed_stream_sends_only_the_missing_suffix() {
+    fn whole_batch_demand_is_one_reply_frame() {
+        let s = RmiServer::new(Arc::new(BatchService::new(20)));
+        let chunks = collect_stream(&s, stream_frame(1, crate::WHOLE_BATCH, 0));
+        assert_eq!(chunks.len(), 1, "no sink frames, only the reply");
+        let (index, total, batch) = &chunks[0];
+        assert_eq!((*index, *total), (0, 1));
+        assert_eq!(batch.replicas.len(), 20);
+        assert_eq!(batch.frontier.len(), 2);
+    }
+
+    #[test]
+    fn plain_handle_answers_a_demand_as_one_chunk() {
+        let s = RmiServer::new(Arc::new(BatchService::new(20)));
+        // Asked for 8-object chunks, but `handle` has no sink: the whole
+        // batch comes back as the reply frame.
+        let reply = s.handle(SiteId::new(1), stream_frame(1, 8, 0)).unwrap();
+        match Message::decode(&reply).unwrap() {
+            Message::GetChunk {
+                chunk_index: 0,
+                total: 1,
+                result: Ok(batch),
+                ..
+            } => assert_eq!(batch.replicas.len(), 20),
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+
+    #[test]
+    fn resumed_demand_sends_only_the_missing_suffix() {
         let svc = Arc::new(BatchService::new(20));
         let s = RmiServer::new(svc.clone());
-        let (first, _) = collect_stream(&s, stream_frame(1, 8, 0));
-        assert_eq!(first.len(), 3);
-        // The retry (same id, resume_from 2) hits the reply cache — an
-        // elided *cached* execution — but still re-streams fresh frames for
-        // the suffix, because the cache holds only the terminal.
-        let (resumed, terminal) = collect_stream(&s, stream_frame(1, 8, 2));
-        assert_eq!(resumed.len(), 1, "only chunk 2 is re-sent");
-        assert!(matches!(
-            resumed[0],
-            Message::GetManyChunk { chunk_index: 2, .. }
-        ));
-        assert!(matches!(
-            terminal,
-            Message::GetManyDone { total_chunks: 3, result: Ok(()), .. }
-        ));
-        assert_eq!(s.metrics().snapshot().cached_replies, 1);
+        assert_eq!(collect_stream(&s, stream_frame(1, 8, 0)).len(), 3);
+        // A retry resuming at chunk 1 needs a chunk the cache does not
+        // hold: the provider re-executes and re-streams the suffix only.
+        let resumed = collect_stream(&s, stream_frame(1, 8, 1));
+        let indices: Vec<u32> = resumed.iter().map(|c| c.0).collect();
+        assert_eq!(indices, vec![1, 2], "chunk 0 is not re-sent");
         assert_eq!(svc.calls.load(std::sync::atomic::Ordering::Relaxed), 2);
-        // Only the terminal was cached: one entry however many chunks flowed.
+        // A retry missing only the reply frame is answered from the cache,
+        // without re-executing.
+        let cached = collect_stream(&s, stream_frame(1, 8, 2));
+        let indices: Vec<u32> = cached.iter().map(|c| c.0).collect();
+        assert_eq!(indices, vec![2]);
+        assert_eq!(svc.calls.load(std::sync::atomic::Ordering::Relaxed), 2);
+        assert_eq!(s.metrics().snapshot().cached_replies, 1);
+        // Only the reply frame was cached: one entry however many chunks
+        // flowed.
         assert_eq!(s.replies().len(), 1);
     }
 
     #[test]
-    fn empty_batch_streams_one_chunk_carrying_the_frontier() {
+    fn empty_batch_is_one_chunk_carrying_the_frontier() {
         let s = RmiServer::new(Arc::new(BatchService::new(0)));
-        let (chunks, terminal) = collect_stream(&s, stream_frame(1, 8, 0));
+        let chunks = collect_stream(&s, stream_frame(1, 8, 0));
         assert_eq!(chunks.len(), 1);
-        match &chunks[0] {
-            Message::GetManyChunk { batch, total_hint, .. } => {
-                assert!(batch.replicas.is_empty());
-                assert_eq!(batch.frontier.len(), 2);
-                assert_eq!(*total_hint, 1);
-            }
-            other => panic!("unexpected frame {other:?}"),
-        }
-        assert!(matches!(
-            terminal,
-            Message::GetManyDone { total_chunks: 1, .. }
-        ));
+        let (index, total, batch) = &chunks[0];
+        assert_eq!((*index, *total), (0, 1));
+        assert!(batch.replicas.is_empty());
+        assert_eq!(batch.frontier.len(), 2);
     }
 
     #[test]

@@ -200,8 +200,8 @@ counters! {
     incr_puts, add_puts, puts;
     incr_refreshes, add_refreshes, refreshes;
     incr_conflicts_detected, add_conflicts_detected, conflicts_detected;
-    /// Network round-trips spent demanding replicas (`get`/`get_many`
-    /// exchanges, retries excluded). Batch faulting exists to shrink this.
+    /// Network round-trips spent demanding replicas (one per demand
+    /// exchange, retries excluded). Batch faulting exists to shrink this.
     incr_demand_round_trips, add_demand_round_trips, demand_round_trips;
     /// Total virtual time (ns) invocations spent blocked on object faults.
     incr_fault_nanos, add_fault_nanos, fault_nanos;
@@ -211,10 +211,10 @@ counters! {
     incr_breaker_fast_fails, add_breaker_fast_fails, breaker_fast_fails;
     /// Duplicate requests answered from the server-side reply cache.
     incr_cached_replies, add_cached_replies, cached_replies;
-    /// Reply chunks delivered (in order) to the streaming demand path.
+    /// Reply chunks delivered (in order) by demands; a whole batch is one.
     incr_demand_chunks, add_demand_chunks, demand_chunks;
-    /// Streamed `get_many` calls resumed mid-batch after a lost chunk,
-    /// lost terminal, or timeout (`resume_from` re-sends of one request id).
+    /// Demands resumed mid-batch after a lost chunk, lost reply frame, or
+    /// timeout (`resume_from` re-sends of one request id).
     incr_stream_resumes, add_stream_resumes, stream_resumes;
     /// Parked stream chunks dropped because their root was evicted or
     /// collected before the pump ran (a stale chunk must not resurrect a

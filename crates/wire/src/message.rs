@@ -324,64 +324,34 @@ pub enum Message {
         request: RequestId,
         result: std::result::Result<ObiValue, ObiError>,
     },
-    /// `IProvideRemote::get(mode)` — demand a replica batch.
+    /// `IProvideRemote::get(mode)` — the one demand request (paper §2.2):
+    /// the merged replica batch rooted at every live object in `targets`,
+    /// sliced into [`Message::GetChunk`] frames of `chunk` objects each
+    /// (`0` asks for the whole batch in one frame). Every chunk but the
+    /// last rides the call's reply stream; the last chunk — or the error
+    /// that failed the demand — is the call's reply frame. A retry of the
+    /// same request sets `resume_from` to the first chunk index the client
+    /// has not yet delivered, so a resumed stream re-sends only the missing
+    /// suffix.
     GetRequest {
         request: RequestId,
-        target: ObjId,
-        mode: WireMode,
-    },
-    /// Replica batch (or failure) answering a [`Message::GetRequest`].
-    GetReply {
-        request: RequestId,
-        result: std::result::Result<ReplicaBatch, ObiError>,
-    },
-    /// Batched demand: materialize several frontier proxies in a single
-    /// round-trip. The provider answers with one merged batch rooted at the
-    /// first live target, so N faults cost one network exchange.
-    GetManyRequest {
-        request: RequestId,
         targets: Vec<ObjId>,
         mode: WireMode,
-    },
-    /// Merged replica batch (or failure) answering a
-    /// [`Message::GetManyRequest`].
-    GetManyReply {
-        request: RequestId,
-        result: std::result::Result<ReplicaBatch, ObiError>,
-    },
-    /// Streaming variant of [`Message::GetManyRequest`]: the provider
-    /// answers with a sequence of [`Message::GetManyChunk`] frames (each a
-    /// slice of the merged batch, `chunk` objects per frame) closed by one
-    /// [`Message::GetManyDone`]. A retry of the same request sets
-    /// `resume_from` to the first chunk index the client has not yet
-    /// materialized, so a resumed stream re-sends only the missing suffix.
-    GetManyStreamRequest {
-        request: RequestId,
-        targets: Vec<ObjId>,
-        mode: WireMode,
-        /// Objects per chunk frame (≥ 1).
+        /// Objects per chunk frame; 0 for the whole batch in one frame.
         chunk: u32,
         /// First chunk index the provider should send (0 on first attempt).
         resume_from: u32,
     },
-    /// One slice of a streamed batch. The batch carried here holds the
-    /// chunk's replicas; the frontier rides on the final chunk only.
-    GetManyChunk {
+    /// One slice of the batch answering a [`Message::GetRequest`] (or the
+    /// error that failed it, with index and total 0). A slice's batch holds
+    /// the chunk's replicas; the frontier rides on the last chunk only.
+    GetChunk {
         request: RequestId,
         /// Zero-based position of this slice in the stream.
         chunk_index: u32,
-        /// Total number of chunks the provider intends to send (fixed for
-        /// the lifetime of one stream attempt).
-        total_hint: u32,
-        batch: ReplicaBatch,
-    },
-    /// Terminal frame of a streamed batch: carries the authoritative chunk
-    /// count so the client can detect holes, or the error that aborted the
-    /// stream.
-    GetManyDone {
-        request: RequestId,
-        total_chunks: u32,
-        result: std::result::Result<(), ObiError>,
+        /// Number of chunks in the stream (fixed for one attempt).
+        total: u32,
+        result: std::result::Result<ReplicaBatch, ObiError>,
     },
     /// `IProvideRemote::put` — write replica state back to the master site.
     PutRequest {
@@ -455,10 +425,12 @@ pub enum Message {
     Leave { site: SiteId },
 }
 
+// Frame tags. 3, 4, 15, 16 and 20 carried the one-shot demand exchanges
+// and the stream terminal that the chunked `GetRequest`/`GetChunk` pair
+// replaced: they decode as unknown tags and must never be reused, so a
+// frame from an older peer fails loudly instead of misparsing.
 const MSG_INVOKE_REQ: u8 = 1;
 const MSG_INVOKE_REP: u8 = 2;
-const MSG_GET_REQ: u8 = 3;
-const MSG_GET_REP: u8 = 4;
 const MSG_PUT_REQ: u8 = 5;
 const MSG_PUT_REP: u8 = 6;
 const MSG_NAME_REQ: u8 = 7;
@@ -469,12 +441,9 @@ const MSG_INVALIDATE: u8 = 11;
 const MSG_UPDATE_PUSH: u8 = 12;
 const MSG_PING: u8 = 13;
 const MSG_PONG: u8 = 14;
-const MSG_GET_MANY_REQ: u8 = 15;
-const MSG_GET_MANY_REP: u8 = 16;
 const MSG_ACK_HORIZON: u8 = 17;
-const MSG_GET_MANY_STREAM_REQ: u8 = 18;
-const MSG_GET_MANY_CHUNK: u8 = 19;
-const MSG_GET_MANY_DONE: u8 = 20;
+const MSG_GET_REQ: u8 = 18;
+const MSG_GET_CHUNK: u8 = 19;
 const MSG_JOIN_REQ: u8 = 21;
 const MSG_JOIN_ACK: u8 = 22;
 const MSG_HANDOFF_REQ: u8 = 23;
@@ -505,14 +474,11 @@ impl Message {
     /// Exact for fixed-width parts, slightly generous for varints.
     pub fn encoded_size_hint(&self) -> usize {
         match self {
-            Message::GetReply { result: Ok(batch), .. }
-            | Message::GetManyReply { result: Ok(batch), .. } => 16 + batch_size_hint(batch),
-            Message::GetManyChunk { batch, .. } => 32 + batch_size_hint(batch),
+            Message::GetChunk { result: Ok(batch), .. } => 32 + batch_size_hint(batch),
             Message::PutRequest { entries, .. } | Message::UpdatePush { entries } => {
                 entries_size_hint(entries)
             }
-            Message::GetManyRequest { targets, .. }
-            | Message::GetManyStreamRequest { targets, .. } => 24 + targets.len() * 12,
+            Message::GetRequest { targets, .. } => 24 + targets.len() * 12,
             Message::HandoffRequest { entries, .. } => 24 + entries_size_hint(entries),
             Message::JoinAck { result: Ok(info), .. } => {
                 32 + info.peers.len() * 8
@@ -549,63 +515,12 @@ impl Message {
             }
             Message::GetRequest {
                 request,
-                target,
-                mode,
-            } => {
-                enc.put_u8(MSG_GET_REQ);
-                enc.put_request_id(*request);
-                enc.put_obj_id(*target);
-                mode.encode(&mut enc);
-            }
-            Message::GetReply { request, result } => {
-                enc.put_u8(MSG_GET_REP);
-                enc.put_request_id(*request);
-                match result {
-                    Ok(batch) => {
-                        enc.put_u8(0);
-                        batch.encode(&mut enc);
-                    }
-                    Err(e) => {
-                        enc.put_u8(1);
-                        enc.put_error(e);
-                    }
-                }
-            }
-            Message::GetManyRequest {
-                request,
-                targets,
-                mode,
-            } => {
-                enc.put_u8(MSG_GET_MANY_REQ);
-                enc.put_request_id(*request);
-                enc.put_varint(targets.len() as u64);
-                for t in targets {
-                    enc.put_obj_id(*t);
-                }
-                mode.encode(&mut enc);
-            }
-            Message::GetManyReply { request, result } => {
-                enc.put_u8(MSG_GET_MANY_REP);
-                enc.put_request_id(*request);
-                match result {
-                    Ok(batch) => {
-                        enc.put_u8(0);
-                        batch.encode(&mut enc);
-                    }
-                    Err(e) => {
-                        enc.put_u8(1);
-                        enc.put_error(e);
-                    }
-                }
-            }
-            Message::GetManyStreamRequest {
-                request,
                 targets,
                 mode,
                 chunk,
                 resume_from,
             } => {
-                enc.put_u8(MSG_GET_MANY_STREAM_REQ);
+                enc.put_u8(MSG_GET_REQ);
                 enc.put_request_id(*request);
                 enc.put_varint(targets.len() as u64);
                 for t in targets {
@@ -615,28 +530,21 @@ impl Message {
                 enc.put_varint(u64::from(*chunk));
                 enc.put_varint(u64::from(*resume_from));
             }
-            Message::GetManyChunk {
+            Message::GetChunk {
                 request,
                 chunk_index,
-                total_hint,
-                batch,
-            } => {
-                enc.put_u8(MSG_GET_MANY_CHUNK);
-                enc.put_request_id(*request);
-                enc.put_varint(u64::from(*chunk_index));
-                enc.put_varint(u64::from(*total_hint));
-                batch.encode(&mut enc);
-            }
-            Message::GetManyDone {
-                request,
-                total_chunks,
+                total,
                 result,
             } => {
-                enc.put_u8(MSG_GET_MANY_DONE);
+                enc.put_u8(MSG_GET_CHUNK);
                 enc.put_request_id(*request);
-                enc.put_varint(u64::from(*total_chunks));
+                enc.put_varint(u64::from(*chunk_index));
+                enc.put_varint(u64::from(*total));
                 match result {
-                    Ok(()) => enc.put_u8(0),
+                    Ok(batch) => {
+                        enc.put_u8(0);
+                        batch.encode(&mut enc);
+                    }
                     Err(e) => {
                         enc.put_u8(1);
                         enc.put_error(e);
@@ -803,44 +711,7 @@ impl Message {
                 request: dec.take_request_id()?,
                 result: decode_result_value(dec)?,
             },
-            MSG_GET_REQ => Message::GetRequest {
-                request: dec.take_request_id()?,
-                target: dec.take_obj_id()?,
-                mode: WireMode::decode(dec)?,
-            },
-            MSG_GET_REP => {
-                let request = dec.take_request_id()?;
-                let result = match dec.take_u8()? {
-                    0 => Ok(ReplicaBatch::decode(dec)?),
-                    1 => Err(dec.take_error()?),
-                    tag => return Err(ObiError::Decode(format!("bad result flag {tag}"))),
-                };
-                Message::GetReply { request, result }
-            }
-            MSG_GET_MANY_REQ => {
-                let request = dec.take_request_id()?;
-                let n = dec.take_varint()? as usize;
-                let mut targets = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    targets.push(dec.take_obj_id()?);
-                }
-                let mode = WireMode::decode(dec)?;
-                Message::GetManyRequest {
-                    request,
-                    targets,
-                    mode,
-                }
-            }
-            MSG_GET_MANY_REP => {
-                let request = dec.take_request_id()?;
-                let result = match dec.take_u8()? {
-                    0 => Ok(ReplicaBatch::decode(dec)?),
-                    1 => Err(dec.take_error()?),
-                    tag => return Err(ObiError::Decode(format!("bad result flag {tag}"))),
-                };
-                Message::GetManyReply { request, result }
-            }
-            MSG_GET_MANY_STREAM_REQ => {
+            MSG_GET_REQ => {
                 let request = dec.take_request_id()?;
                 let n = dec.take_varint()? as usize;
                 let mut targets = Vec::with_capacity(n.min(4096));
@@ -850,7 +721,7 @@ impl Message {
                 let mode = WireMode::decode(dec)?;
                 let chunk = dec.take_varint()? as u32;
                 let resume_from = dec.take_varint()? as u32;
-                Message::GetManyStreamRequest {
+                Message::GetRequest {
                     request,
                     targets,
                     mode,
@@ -858,23 +729,19 @@ impl Message {
                     resume_from,
                 }
             }
-            MSG_GET_MANY_CHUNK => Message::GetManyChunk {
-                request: dec.take_request_id()?,
-                chunk_index: dec.take_varint()? as u32,
-                total_hint: dec.take_varint()? as u32,
-                batch: ReplicaBatch::decode(dec)?,
-            },
-            MSG_GET_MANY_DONE => {
+            MSG_GET_CHUNK => {
                 let request = dec.take_request_id()?;
-                let total_chunks = dec.take_varint()? as u32;
+                let chunk_index = dec.take_varint()? as u32;
+                let total = dec.take_varint()? as u32;
                 let result = match dec.take_u8()? {
-                    0 => Ok(()),
+                    0 => Ok(ReplicaBatch::decode(dec)?),
                     1 => Err(dec.take_error()?),
                     tag => return Err(ObiError::Decode(format!("bad result flag {tag}"))),
                 };
-                Message::GetManyDone {
+                Message::GetChunk {
                     request,
-                    total_chunks,
+                    chunk_index,
+                    total,
                     result,
                 }
             }
@@ -995,12 +862,7 @@ impl Message {
             Message::InvokeRequest { request, .. }
             | Message::InvokeReply { request, .. }
             | Message::GetRequest { request, .. }
-            | Message::GetReply { request, .. }
-            | Message::GetManyRequest { request, .. }
-            | Message::GetManyReply { request, .. }
-            | Message::GetManyStreamRequest { request, .. }
-            | Message::GetManyChunk { request, .. }
-            | Message::GetManyDone { request, .. }
+            | Message::GetChunk { request, .. }
             | Message::PutRequest { request, .. }
             | Message::PutReply { request, .. }
             | Message::NameRequest { request, .. }
@@ -1026,8 +888,6 @@ impl Message {
             self,
             Message::InvokeRequest { .. }
                 | Message::GetRequest { .. }
-                | Message::GetManyRequest { .. }
-                | Message::GetManyStreamRequest { .. }
                 | Message::PutRequest { .. }
                 | Message::NameRequest { .. }
                 | Message::Subscribe { .. }
@@ -1090,77 +950,46 @@ mod tests {
             },
             Message::GetRequest {
                 request: rid(3),
-                target: oid(1),
+                targets: vec![oid(1)],
                 mode: WireMode::Incremental { batch: 10 },
+                chunk: 0,
+                resume_from: 0,
             },
             Message::GetRequest {
                 request: rid(3),
-                target: oid(1),
+                targets: vec![oid(1)],
                 mode: WireMode::Cluster { size: 100 },
+                chunk: 0,
+                resume_from: 0,
             },
             Message::GetRequest {
-                request: rid(3),
-                target: oid(1),
-                mode: WireMode::Transitive,
-            },
-            Message::GetReply {
-                request: rid(3),
-                result: Ok(sample_batch()),
-            },
-            Message::GetReply {
-                request: rid(3),
-                result: Err(ObiError::Disconnected {
-                    from: SiteId::new(1),
-                    to: SiteId::new(2),
-                }),
-            },
-            Message::GetManyRequest {
-                request: rid(8),
-                targets: vec![oid(1), oid(2), oid(3)],
-                mode: WireMode::Incremental { batch: 4 },
-            },
-            Message::GetManyRequest {
-                request: rid(8),
-                targets: vec![],
-                mode: WireMode::Transitive,
-            },
-            Message::GetManyReply {
-                request: rid(8),
-                result: Ok(sample_batch()),
-            },
-            Message::GetManyReply {
-                request: rid(8),
-                result: Err(ObiError::NoSuchObject(oid(3))),
-            },
-            Message::GetManyStreamRequest {
                 request: rid(9),
                 targets: vec![oid(1), oid(2)],
                 mode: WireMode::Incremental { batch: 16 },
                 chunk: 8,
                 resume_from: 0,
             },
-            Message::GetManyStreamRequest {
+            Message::GetRequest {
                 request: rid(9),
                 targets: vec![],
                 mode: WireMode::Transitive,
                 chunk: 1,
                 resume_from: 3,
             },
-            Message::GetManyChunk {
+            Message::GetChunk {
                 request: rid(9),
                 chunk_index: 2,
-                total_hint: 5,
-                batch: sample_batch(),
+                total: 5,
+                result: Ok(sample_batch()),
             },
-            Message::GetManyDone {
-                request: rid(9),
-                total_chunks: 5,
-                result: Ok(()),
-            },
-            Message::GetManyDone {
-                request: rid(9),
-                total_chunks: 0,
-                result: Err(ObiError::NoSuchObject(oid(3))),
+            Message::GetChunk {
+                request: rid(3),
+                chunk_index: 0,
+                total: 0,
+                result: Err(ObiError::Disconnected {
+                    from: SiteId::new(1),
+                    to: SiteId::new(2),
+                }),
             },
             Message::PutRequest {
                 request: rid(4),
@@ -1299,32 +1128,25 @@ mod tests {
         assert_eq!(Message::Ping { request: rid(3) }.request_id(), Some(rid(3)));
         assert!(!Message::AckHorizon { up_to: 9 }.is_request());
         assert_eq!(Message::AckHorizon { up_to: 9 }.request_id(), None);
-        // Stream frames: only the request opens a stream; chunk and done
-        // frames are replies correlated through the same id.
-        let stream_req = Message::GetManyStreamRequest {
+        // Demand frames: only the request opens a stream; chunks are
+        // replies correlated through the same id.
+        let get = Message::GetRequest {
             request: rid(9),
             targets: vec![oid(1)],
             mode: WireMode::Incremental { batch: 4 },
             chunk: 2,
             resume_from: 0,
         };
-        assert!(stream_req.is_request());
-        assert_eq!(stream_req.request_id(), Some(rid(9)));
-        let chunk = Message::GetManyChunk {
+        assert!(get.is_request());
+        assert_eq!(get.request_id(), Some(rid(9)));
+        let chunk = Message::GetChunk {
             request: rid(9),
             chunk_index: 0,
-            total_hint: 1,
-            batch: sample_batch(),
+            total: 1,
+            result: Ok(sample_batch()),
         };
         assert!(!chunk.is_request());
         assert_eq!(chunk.request_id(), Some(rid(9)));
-        let done = Message::GetManyDone {
-            request: rid(9),
-            total_chunks: 1,
-            result: Ok(()),
-        };
-        assert!(!done.is_request());
-        assert_eq!(done.request_id(), Some(rid(9)));
         // Membership frames: join/handoff are request/reply pairs, Leave is
         // one-way like Invalidate.
         let join = Message::JoinRequest { request: rid(10) };
@@ -1364,5 +1186,25 @@ mod tests {
     fn unknown_message_tag_is_rejected() {
         assert!(Message::decode(&[0xF0]).is_err());
         assert!(Message::decode(&[]).is_err());
+    }
+
+    /// The retired demand tags stay retired: a frame carrying one decodes
+    /// to a typed error whatever follows the tag, here a well-formed
+    /// request id and batch that a live tag would have accepted.
+    #[test]
+    fn retired_demand_tags_decode_to_errors() {
+        let mut body = Encoder::with_capacity(64);
+        body.put_request_id(rid(3));
+        body.put_u8(0);
+        sample_batch().encode(&mut body);
+        let body = body.finish();
+        for tag in [3u8, 4, 15, 16, 20] {
+            for frame in [vec![tag], [&[tag][..], &body[..]].concat()] {
+                assert!(
+                    matches!(Message::decode(&frame), Err(ObiError::Decode(_))),
+                    "tag {tag} must not decode"
+                );
+            }
+        }
     }
 }

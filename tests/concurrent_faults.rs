@@ -3,9 +3,10 @@
 //! invocations proceed instead of queueing behind the network.
 //!
 //! The test wraps the threaded transport in a gate that blocks the first
-//! demand (`GetRequest`/`GetManyRequest`) frame from a chosen site until
-//! released, then proves another thread completes an LMI on a local
-//! object *while* the faulting thread is parked inside the RPC.
+//! demand (`GetRequest`) frame from a chosen site until released — on the
+//! one-shot and the streaming call path alike — then proves another thread
+//! completes an LMI on a local object *while* the faulting thread is
+//! parked inside the RPC.
 
 use bytes::Bytes;
 use obiwan::core::demo::{register_all, Counter, LinkedItem};
@@ -60,25 +61,13 @@ impl GatedTransport {
     }
 
     fn is_demand(frame: &Bytes) -> bool {
-        matches!(
-            Message::decode(frame),
-            Ok(Message::GetRequest { .. }) | Ok(Message::GetManyRequest { .. })
-        )
-    }
-}
-
-impl Transport for GatedTransport {
-    fn register(&self, site: SiteId, handler: Arc<dyn MessageHandler>) {
-        self.inner.register(site, handler);
+        matches!(Message::decode(frame), Ok(Message::GetRequest { .. }))
     }
 
-    fn deregister(&self, site: SiteId) {
-        self.inner.deregister(site);
-    }
-
-    fn call(&self, from: SiteId, to: SiteId, frame: Bytes) -> Result<Bytes> {
+    /// Parks the caller when this is the armed demand from `gated_from`.
+    fn pass(&self, from: SiteId, frame: &Bytes) {
         if from == self.gated_from
-            && Self::is_demand(&frame)
+            && Self::is_demand(frame)
             && self.armed.swap(false, Ordering::SeqCst)
         {
             if let Some(tx) = self.entered.lock().unwrap().take() {
@@ -93,7 +82,32 @@ impl Transport for GatedTransport {
                 .unwrap();
             assert!(!timeout.timed_out(), "gate never released");
         }
+    }
+}
+
+impl Transport for GatedTransport {
+    fn register(&self, site: SiteId, handler: Arc<dyn MessageHandler>) {
+        self.inner.register(site, handler);
+    }
+
+    fn deregister(&self, site: SiteId) {
+        self.inner.deregister(site);
+    }
+
+    fn call(&self, from: SiteId, to: SiteId, frame: Bytes) -> Result<Bytes> {
+        self.pass(from, &frame);
         self.inner.call(from, to, frame)
+    }
+
+    fn call_stream(
+        &self,
+        from: SiteId,
+        to: SiteId,
+        frame: Bytes,
+        on_frame: &mut dyn FnMut(Bytes),
+    ) -> Result<Bytes> {
+        self.pass(from, &frame);
+        self.inner.call_stream(from, to, frame, on_frame)
     }
 
     fn cast(&self, from: SiteId, to: SiteId, frame: Bytes) -> Result<()> {
@@ -211,6 +225,83 @@ fn local_invocation_completes_while_a_fault_is_in_flight() {
     assert_eq!(snap.object_faults, 1);
     assert!(snap.lmi_count >= 2, "lmi_count = {}", snap.lmi_count);
     assert!(snap.fault_nanos > 0 || snap.demand_round_trips > 0);
+    obiwan::util::sync::assert_no_lock_order_violations();
+    obiwan::util::sync::assert_observed_edges_in_static_graph();
+}
+
+#[test]
+fn local_invocation_completes_while_a_streamed_fault_is_in_flight() {
+    let rig = Arc::new(Rig::new(2, SiteId::new(1)));
+
+    // Site 2 owns a 40-node list; site 1 replicates the first 16 in one
+    // whole `get`, so node 16 is a frontier proxy whose step (16) exceeds
+    // the 8-object chunk size: faulting it streams two chunks.
+    let mut nodes = Vec::new();
+    let mut next = None;
+    for i in (0..40).rev() {
+        let item = match next {
+            Some(n) => LinkedItem::with_next(i, "node", n),
+            None => LinkedItem::new(i, "node"),
+        };
+        let r = rig.site(2).create(item);
+        nodes.push(r);
+        next = Some(r);
+    }
+    nodes.reverse();
+    rig.site(2).export(nodes[0], "list").unwrap();
+    let remote = rig.site(1).lookup("list").unwrap();
+    rig.site(1)
+        .get(&remote, ReplicationMode::incremental(16))
+        .unwrap();
+    assert!(!rig.site(1).is_replicated(nodes[16]));
+    let counter = rig.site(1).create(Counter::new(0));
+
+    // Thread A faults node 16: its streamed demand parks at the gate with
+    // the process lock dropped.
+    let entered = rig.gate.arm();
+    let faulter = {
+        let rig = rig.clone();
+        let target = nodes[16];
+        std::thread::spawn(move || rig.site(1).invoke(target, "value", ObiValue::Null))
+    };
+    entered
+        .recv_timeout(WATCHDOG)
+        .expect("streamed fault never reached the gate");
+
+    // Thread B's LMI completes while A is held.
+    let (done_tx, done_rx) = mpsc::channel();
+    let lmi = {
+        let rig = rig.clone();
+        std::thread::spawn(move || {
+            done_tx
+                .send(rig.site(1).invoke(counter, "incr", ObiValue::Null))
+                .unwrap();
+        })
+    };
+    let lmi_result = done_rx
+        .recv_timeout(WATCHDOG)
+        .expect("LMI queued behind an in-flight streamed fault");
+    assert_eq!(lmi_result.unwrap(), ObiValue::I64(1));
+    lmi.join().unwrap();
+
+    // Release: chunk 0 (nodes 16..24, the faulted root's) installs inside
+    // the fault window, the tail chunk parks for the pump.
+    rig.gate.release();
+    assert_eq!(faulter.join().unwrap().unwrap(), ObiValue::I64(16));
+    for n in &nodes[16..24] {
+        assert!(rig.site(1).is_replicated(*n));
+    }
+    assert!(!rig.site(1).is_replicated(nodes[24]));
+    assert_eq!(rig.site(1).pump_pending_chunks(), 1);
+    for n in &nodes[16..32] {
+        assert!(rig.site(1).is_replicated(*n));
+    }
+    assert!(!rig.site(1).is_replicated(nodes[32]));
+
+    let snap = rig.site(1).metrics().snapshot();
+    assert_eq!(snap.object_faults, 1);
+    assert_eq!(snap.demand_round_trips, 2, "the get and the one fault");
+    assert_eq!(snap.demand_chunks, 3, "one whole get, then 8 + 8");
     obiwan::util::sync::assert_no_lock_order_violations();
     obiwan::util::sync::assert_observed_edges_in_static_graph();
 }

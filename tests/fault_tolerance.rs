@@ -195,9 +195,11 @@ fn streamed_demand_under_chunk_loss_reassembles_exactly_once() {
     let c = world.add_site("mobile");
     let p = world.add_site("provider");
     world.transport().reseed(29);
-    let (nodes, _) = export_graph(&world, p, 40, 0);
-    // 10% of reply *chunks* vanish mid-stream (requests and one-shot
-    // replies are untouched): every resume must re-fetch only the missing
+    // 80 nodes: 7 streamed faults, each exposing one chunk to the lossy
+    // link (its other chunk is the reply frame).
+    let (nodes, _) = export_graph(&world, p, 80, 0);
+    // 10% of streamed reply *chunks* vanish mid-stream (requests and reply
+    // frames are untouched): every resume must re-fetch only the missing
     // suffix of the same request id, and reassembly must install each
     // object exactly once.
     set_link(&world, c, p, LinkModel::ideal().with_chunk_loss(0.1));
@@ -242,9 +244,10 @@ fn streamed_demand_under_chunk_loss_reassembles_exactly_once() {
         assert_eq!(v, ObiValue::I64(i as i64));
     }
     let snap = world.site(c).metrics().snapshot();
-    // 3 streamed faults x (8 + 2) objects: 6 in-order chunks, re-deliveries
-    // after a resume are deduplicated and never counted (or installed).
-    assert_eq!(snap.demand_chunks, 6);
+    // The whole initial get is 1 chunk, then 7 streamed faults x (8 + 2)
+    // objects: 15 in-order chunks, re-deliveries after a resume are
+    // deduplicated and never counted (or installed).
+    assert_eq!(snap.demand_chunks, 15);
     // The link really dropped chunks: at least one stream resumed, and
     // every resume rode the ordinary retry machinery.
     assert!(snap.stream_resumes > 0, "no chunk was ever lost");

@@ -155,17 +155,23 @@ fn streamed_demand_emits_per_chunk_spans_inside_the_round_trip() {
         .iter()
         .filter(|e| e.name == "obi.pump_chunk")
         .collect();
-    // Step 10 exceeds the 8-object chunk size, so each of the nine walk
-    // faults streams its batch as two chunks (8 + 2).
-    assert_eq!(chunks.len(), 18, "two rpc.chunk spans per streamed fault");
+    // The initial get arrives whole, as one chunk. Step 10 exceeds the
+    // 8-object chunk size, so each of the nine walk faults streams its
+    // batch as two chunks (8 + 2).
+    assert_eq!(chunks.len(), 1 + 18, "two rpc.chunk spans per streamed fault");
     // Chunk spans carry their stream position...
     assert!(chunks.iter().any(|c| c.value == 0));
     assert!(chunks.iter().any(|c| c.value == 1));
-    // ...and nest inside the fault's round trip: every fault span sits at
-    // depth 1 under its invoke, its round trip at depth 2, and the chunk
+    // ...and nest inside their round trip. The get's one chunk sits right
+    // under its top-level round trip; every fault span sits at depth 1
+    // under its invoke, its round trip at depth 2, and the fault's chunk
     // deliveries deeper still.
+    let (get_chunks, fault_chunks): (Vec<&trace::SpanEvent>, Vec<_>) =
+        chunks.iter().partition(|c| c.depth == 1);
+    assert_eq!(get_chunks.len(), 1, "the get's chunk nests in its round trip");
+    assert_eq!(fault_chunks.len(), 18);
     for f in events.iter().filter(|e| e.name == "obi.fault") {
-        for c in &chunks {
+        for c in &fault_chunks {
             assert!(
                 c.depth > f.depth + 1,
                 "rpc.chunk (depth {}) must nest below the round trip inside \

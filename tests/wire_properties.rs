@@ -75,70 +75,15 @@ fn arb_message() -> impl Strategy<Value = Message> {
         ),
         (arb_request_id(), arb_value())
             .prop_map(|(request, v)| Message::InvokeReply { request, result: Ok(v) }),
-        (arb_request_id(), arb_obj_id(), arb_mode()).prop_map(|(request, target, mode)| {
-            Message::GetRequest {
-                request,
-                target,
-                mode,
-            }
-        }),
-        (
-            arb_request_id(),
-            arb_obj_id(),
-            proptest::collection::vec(arb_replica_state(), 0..5),
-            proptest::collection::vec((arb_obj_id(), "[A-Z][a-z]{0,10}"), 0..5),
-        )
-            .prop_map(|(request, root, replicas, frontier)| Message::GetReply {
-                request,
-                result: Ok(ReplicaBatch {
-                    root,
-                    replicas,
-                    frontier: frontier
-                        .into_iter()
-                        .map(|(target, class)| FrontierEdge { target, class })
-                        .collect(),
-                    cluster: None,
-                }),
-            }),
-        (arb_request_id(), proptest::collection::vec(arb_replica_state(), 0..5))
-            .prop_map(|(request, entries)| Message::PutRequest { request, entries }),
         (
             arb_request_id(),
             proptest::collection::vec(arb_obj_id(), 0..8),
             arb_mode(),
-        )
-            .prop_map(|(request, targets, mode)| Message::GetManyRequest {
-                request,
-                targets,
-                mode,
-            }),
-        (
-            arb_request_id(),
-            arb_obj_id(),
-            proptest::collection::vec(arb_replica_state(), 0..5),
-            proptest::collection::vec((arb_obj_id(), "[A-Z][a-z]{0,10}"), 0..5),
-        )
-            .prop_map(|(request, root, replicas, frontier)| Message::GetManyReply {
-                request,
-                result: Ok(ReplicaBatch {
-                    root,
-                    replicas,
-                    frontier: frontier
-                        .into_iter()
-                        .map(|(target, class)| FrontierEdge { target, class })
-                        .collect(),
-                    cluster: None,
-                }),
-            }),
-        (
-            arb_request_id(),
-            proptest::collection::vec(arb_obj_id(), 0..8),
-            arb_mode(),
-            1u32..64,
+            0u32..64,
             0u32..16,
         )
             .prop_map(|(request, targets, mode, chunk, resume_from)| {
-                Message::GetManyStreamRequest {
+                Message::GetRequest {
                     request,
                     targets,
                     mode,
@@ -146,6 +91,8 @@ fn arb_message() -> impl Strategy<Value = Message> {
                     resume_from,
                 }
             }),
+        (arb_request_id(), proptest::collection::vec(arb_replica_state(), 0..5))
+            .prop_map(|(request, entries)| Message::PutRequest { request, entries }),
         (
             arb_request_id(),
             0u32..16,
@@ -154,12 +101,12 @@ fn arb_message() -> impl Strategy<Value = Message> {
             proptest::collection::vec(arb_replica_state(), 0..5),
             proptest::collection::vec((arb_obj_id(), "[A-Z][a-z]{0,10}"), 0..5),
         )
-            .prop_map(|(request, chunk_index, total_hint, root, replicas, frontier)| {
-                Message::GetManyChunk {
+            .prop_map(|(request, chunk_index, total, root, replicas, frontier)| {
+                Message::GetChunk {
                     request,
                     chunk_index,
-                    total_hint,
-                    batch: ReplicaBatch {
+                    total,
+                    result: Ok(ReplicaBatch {
                         root,
                         replicas,
                         frontier: frontier
@@ -167,15 +114,14 @@ fn arb_message() -> impl Strategy<Value = Message> {
                             .map(|(target, class)| FrontierEdge { target, class })
                             .collect(),
                         cluster: None,
-                    },
+                    }),
                 }
             }),
-        (arb_request_id(), 0u32..16).prop_map(|(request, total_chunks)| {
-            Message::GetManyDone {
-                request,
-                total_chunks,
-                result: Ok(()),
-            }
+        (arb_request_id(), arb_obj_id()).prop_map(|(request, missing)| Message::GetChunk {
+            request,
+            chunk_index: 0,
+            total: 0,
+            result: Err(ObiError::NoSuchObject(missing)),
         }),
         proptest::collection::vec(arb_obj_id(), 0..10)
             .prop_map(|objects| Message::Invalidate { objects }),

@@ -55,6 +55,28 @@ fn incremental_walk_sends_exactly_one_get_per_batch() {
 }
 
 #[test]
+fn streamed_fault_costs_one_reply_frame_per_chunk() {
+    let (world, s1, s2, _refs) = list_world(32, 64);
+    let remote = world.site(s1).lookup("list").unwrap();
+    world.transport().trace().set_enabled(true);
+
+    let root = world
+        .site(s1)
+        .get(&remote, ReplicationMode::incremental(16))
+        .unwrap();
+    walk(&world, s1, root);
+
+    let summary = world.transport().trace().summary();
+    // 32 objects in steps of 16: 1 whole get (its batch is the reply
+    // frame) + 1 fault streaming 16 objects as two 8-object chunks, the
+    // second of which is the reply frame. No terminal frame follows the
+    // chunks: 2 requests, 1 + 2 replies.
+    assert_eq!(summary.pair(s1, s2).delivered, 2);
+    assert_eq!(summary.pair(s2, s1).delivered, 1 + 2);
+    assert_eq!(summary.total_delivered(), 5);
+}
+
+#[test]
 fn local_invocations_are_wire_silent() {
     let (world, s1, _s2, _refs) = list_world(5, 64);
     let remote = world.site(s1).lookup("list").unwrap();
