@@ -19,8 +19,10 @@
 //!   runs under real concurrency.
 //! * [`tcp`] — [`TcpTransport`], real loopback TCP sockets with a
 //!   per-destination connection pool: the genuinely distributed substrate.
-//! * [`trace`] — an optional in-memory event trace of every delivery, drop
-//!   and refusal, for tests and debugging.
+//! * [`trace`] — optional per-pair counters of frames delivered, dropped
+//!   and refused, for tests and debugging. Every transport feeds them and
+//!   its metrics totals with one call per frame outcome; the simulated and
+//!   threaded transports decide that outcome with one shared leg routine.
 //!
 //! # Examples
 //!
@@ -50,6 +52,7 @@
 //! ```
 
 pub mod conditions;
+mod leg;
 pub mod link;
 pub mod mem;
 pub mod sim;
@@ -61,5 +64,5 @@ pub use link::{LinkModel, LinkState, Topology};
 pub use mem::MemTransport;
 pub use sim::{ScheduledChange, SimTransport};
 pub use tcp::TcpTransport;
-pub use trace::{NetEvent, NetEventKind, NetTrace, PairStats, TraceSummary};
+pub use trace::{NetTrace, PairStats, TraceSummary};
 pub use transport::{MessageHandler, Transport};

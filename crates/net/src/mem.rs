@@ -6,13 +6,14 @@
 //! machines. Link latency can optionally be *slept* (scaled), which is
 //! useful in examples; by default frames move as fast as the threads do.
 
+use crate::leg::{ChunkReorder, Delay, Leg, Links};
 use crate::link::Topology;
-use crate::trace::{NetEvent, NetEventKind, NetTrace};
+use crate::trace::NetTrace;
 use crate::transport::{MessageHandler, Transport};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Sender};
-use obiwan_util::{DetRng, Metrics, ObiError, Result, SiteId};
-use obiwan_util::sync::{Mutex, RwLock};
+use crossbeam::channel::{bounded, unbounded, RecvTimeoutError, Sender};
+use obiwan_util::{Metrics, ObiError, Result, SiteId};
+use obiwan_util::sync::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -78,13 +79,9 @@ pub struct MemTransport {
 }
 
 struct MemInner {
-    topology: RwLock<Topology>,
+    /// Sleeps the chosen fraction of each leg's modeled delay.
+    links: Links,
     sites: RwLock<HashMap<SiteId, SiteHandle>>,
-    rng: Mutex<DetRng>,
-    trace: NetTrace,
-    metrics: Metrics,
-    /// Fraction of modeled link delay to actually sleep (0.0 = none).
-    delay_scale: f64,
     call_timeout: Duration,
 }
 
@@ -115,30 +112,30 @@ impl MemTransport {
     pub fn with_options(topology: Topology, delay_scale: f64, call_timeout: Duration) -> Self {
         MemTransport {
             inner: Arc::new(MemInner {
-                topology: RwLock::new(topology),
+                links: Links::new(
+                    topology,
+                    0xD15C_0CAF_E000_0001,
+                    Delay::Sleep(delay_scale.max(0.0)),
+                ),
                 sites: RwLock::new(HashMap::new()),
-                rng: Mutex::new(DetRng::new(0xD15C_0CAF_E000_0001)),
-                trace: NetTrace::new(),
-                metrics: Metrics::new(),
-                delay_scale: delay_scale.max(0.0),
                 call_timeout,
             }),
         }
     }
 
-    /// The event trace (disabled until `set_enabled(true)`).
+    /// The per-pair traffic counters (disabled until `set_enabled(true)`).
     pub fn trace(&self) -> &NetTrace {
-        &self.inner.trace
+        self.inner.links.trace()
     }
 
     /// Transport-level metrics.
     pub fn metrics(&self) -> &Metrics {
-        &self.inner.metrics
+        self.inner.links.metrics()
     }
 
     /// Runs `f` with mutable access to the topology.
     pub fn with_topology_mut<R>(&self, f: impl FnOnce(&mut Topology) -> R) -> R {
-        f(&mut self.inner.topology.write())
+        self.inner.links.with_topology_mut(f)
     }
 
     /// Convenience: disconnect `site` from everyone.
@@ -229,113 +226,6 @@ impl MemTransport {
         }
     }
 
-    /// Computes one leg's modeled delay, samples loss, sleeps if configured.
-    fn traverse(&self, from: SiteId, to: SiteId, bytes: usize, is_reply: bool) -> Result<()> {
-        let (delay, lost) = {
-            let topology = self.inner.topology.read();
-            if !topology.is_up(from, to) {
-                self.inner.trace.record(NetEvent {
-                    at_nanos: 0,
-                    from,
-                    to,
-                    bytes,
-                    kind: NetEventKind::Refused,
-                    is_reply,
-                });
-                return Err(ObiError::Disconnected { from, to });
-            }
-            let link = topology.link(from, to);
-            let mut rng = self.inner.rng.lock();
-            (
-                link.transfer_time(bytes, &mut rng),
-                link.drops(&mut rng) || (is_reply && link.drops_reply(&mut rng)),
-            )
-        };
-        if self.inner.delay_scale > 0.0 {
-            std::thread::sleep(delay.mul_f64(self.inner.delay_scale));
-        }
-        self.inner.metrics.incr_messages_sent();
-        self.inner.metrics.add_bytes_sent(bytes as u64);
-        if lost {
-            self.inner.trace.record(NetEvent {
-                at_nanos: 0,
-                from,
-                to,
-                bytes,
-                kind: NetEventKind::Dropped,
-                is_reply,
-            });
-            return Err(ObiError::MessageLost { from, to });
-        }
-        self.inner.metrics.incr_messages_received();
-        self.inner.metrics.add_bytes_received(bytes as u64);
-        self.inner.trace.record(NetEvent {
-            at_nanos: 0,
-            from,
-            to,
-            bytes,
-            kind: NetEventKind::Delivered,
-            is_reply,
-        });
-        Ok(())
-    }
-
-    /// Chunk leg: like [`MemTransport::traverse`] for one streamed reply
-    /// frame, sampling the per-chunk fault knobs. Returns `None` when the
-    /// chunk is lost; on delivery, whether it arrives duplicated and
-    /// whether it is held back past its successor.
-    fn traverse_chunk(&self, from: SiteId, to: SiteId, bytes: usize) -> Option<(bool, bool)> {
-        let (delay, lost, dup, hold) = {
-            let topology = self.inner.topology.read();
-            if !topology.is_up(from, to) {
-                self.inner.trace.record(NetEvent {
-                    at_nanos: 0,
-                    from,
-                    to,
-                    bytes,
-                    kind: NetEventKind::Refused,
-                    is_reply: true,
-                });
-                return None;
-            }
-            let link = topology.link(from, to);
-            let mut rng = self.inner.rng.lock();
-            (
-                link.transfer_time(bytes, &mut rng),
-                link.drops(&mut rng) || link.drops_chunk(&mut rng),
-                link.duplicates_chunk(&mut rng),
-                link.reorders_chunk(&mut rng),
-            )
-        };
-        if self.inner.delay_scale > 0.0 {
-            std::thread::sleep(delay.mul_f64(self.inner.delay_scale));
-        }
-        self.inner.metrics.incr_messages_sent();
-        self.inner.metrics.add_bytes_sent(bytes as u64);
-        if lost {
-            self.inner.trace.record(NetEvent {
-                at_nanos: 0,
-                from,
-                to,
-                bytes,
-                kind: NetEventKind::Dropped,
-                is_reply: true,
-            });
-            return None;
-        }
-        self.inner.metrics.incr_messages_received();
-        self.inner.metrics.add_bytes_received(bytes as u64);
-        self.inner.trace.record(NetEvent {
-            at_nanos: 0,
-            from,
-            to,
-            bytes,
-            kind: NetEventKind::Delivered,
-            is_reply: true,
-        });
-        Some((dup, hold))
-    }
-
     fn sender_for(&self, site: SiteId) -> Result<Sender<Envelope>> {
         self.inner
             .sites
@@ -364,7 +254,8 @@ impl Transport for MemTransport {
 
     fn call(&self, from: SiteId, to: SiteId, frame: Bytes) -> Result<Bytes> {
         let tx = self.sender_for(to)?;
-        self.traverse(from, to, frame.len(), false)?;
+        // Request duplication is not modeled here: the verdict is ignored.
+        self.inner.links.leg(Leg::Request, from, to, frame.len())?;
         let (reply_tx, reply_rx) = bounded(1);
         tx.send(Envelope::Request {
             from,
@@ -374,11 +265,11 @@ impl Transport for MemTransport {
         .map_err(|_| ObiError::SiteUnreachable(to))?;
         let reply = reply_rx
             .recv_timeout(self.inner.call_timeout)
-            .map_err(|_| ObiError::SiteUnreachable(to))?
+            .map_err(|e| recv_error(e, to))?
             .ok_or_else(|| {
                 ObiError::Internal(format!("site {to} produced no reply to a request"))
             })?;
-        self.traverse(to, from, reply.len(), true)?;
+        self.inner.links.leg(Leg::Reply, to, from, reply.len())?;
         Ok(reply)
     }
 
@@ -390,7 +281,7 @@ impl Transport for MemTransport {
         on_frame: &mut dyn FnMut(Bytes),
     ) -> Result<Bytes> {
         let tx = self.sender_for(to)?;
-        self.traverse(from, to, frame.len(), false)?;
+        self.inner.links.leg(Leg::Request, from, to, frame.len())?;
         let (stream_tx, stream_rx) = unbounded();
         tx.send(Envelope::Stream {
             from,
@@ -400,46 +291,30 @@ impl Transport for MemTransport {
         .map_err(|_| ObiError::SiteUnreachable(to))?;
         // Drain frames as the remote worker produces them: the caller
         // processes chunk k here while the handler builds k+1 over there.
-        let mut held: Option<Bytes> = None;
+        let mut chunks = ChunkReorder::new(on_frame);
         loop {
             match stream_rx.recv_timeout(self.inner.call_timeout) {
                 Ok(StreamFrame::Chunk(chunk)) => {
-                    let Some((dup, hold)) = self.traverse_chunk(to, from, chunk.len()) else {
-                        continue; // lost chunk: the hole surfaces at the terminal
-                    };
-                    if hold {
-                        if let Some(prev) = held.replace(chunk) {
-                            on_frame(prev);
-                        }
-                    } else {
-                        on_frame(chunk.clone());
-                        if dup {
-                            on_frame(chunk);
-                        }
-                        if let Some(prev) = held.take() {
-                            on_frame(prev);
-                        }
-                    }
+                    let leg = self.inner.links.leg(Leg::Chunk, to, from, chunk.len());
+                    chunks.deliver(chunk, leg);
                 }
                 Ok(StreamFrame::Done(out)) => {
-                    if let Some(prev) = held.take() {
-                        on_frame(prev);
-                    }
+                    chunks.finish();
                     let reply = out.ok_or_else(|| {
                         ObiError::Internal(format!("site {to} produced no reply to a request"))
                     })?;
-                    self.traverse(to, from, reply.len(), true)?;
+                    self.inner.links.leg(Leg::Reply, to, from, reply.len())?;
                     return Ok(reply);
                 }
-                Err(_) => return Err(ObiError::SiteUnreachable(to)),
+                Err(e) => return Err(recv_error(e, to)),
             }
         }
     }
 
     fn cast(&self, from: SiteId, to: SiteId, frame: Bytes) -> Result<()> {
         let tx = self.sender_for(to)?;
-        match self.traverse(from, to, frame.len(), false) {
-            Ok(()) => {
+        match self.inner.links.leg(Leg::Request, from, to, frame.len()) {
+            Ok(_) => {
                 tx.send(Envelope::OneWay { from, frame })
                     .map_err(|_| ObiError::SiteUnreachable(to))?;
                 Ok(())
@@ -450,13 +325,24 @@ impl Transport for MemTransport {
     }
 
     fn is_reachable(&self, from: SiteId, to: SiteId) -> bool {
-        self.inner.sites.read().contains_key(&to) && self.inner.topology.read().is_up(from, to)
+        self.inner.sites.read().contains_key(&to) && self.inner.links.is_up(from, to)
+    }
+}
+
+/// A reply that did not come back within the call timeout is a `Timeout`
+/// (the site may be alive but slow, so the caller may retry); a worker that
+/// went away is `SiteUnreachable`.
+fn recv_error(e: RecvTimeoutError, to: SiteId) -> ObiError {
+    match e {
+        RecvTimeoutError::Timeout => ObiError::Timeout { to },
+        RecvTimeoutError::Disconnected => ObiError::SiteUnreachable(to),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::leg::tests::{check_chunk_faults, ChunkEcho};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn s(n: u32) -> SiteId {
@@ -613,26 +499,9 @@ mod tests {
     #[test]
     fn chunk_loss_drops_stream_frames_but_not_the_terminal() {
         use crate::link::LinkModel;
-        struct Chunky;
-        impl MessageHandler for Chunky {
-            fn handle(&self, _from: SiteId, frame: Bytes) -> Option<Bytes> {
-                Some(frame)
-            }
-            fn handle_stream(
-                &self,
-                _from: SiteId,
-                frame: Bytes,
-                sink: &mut dyn FnMut(Bytes),
-            ) -> Option<Bytes> {
-                for i in 0..50u8 {
-                    sink(Bytes::from(vec![i]));
-                }
-                Some(frame)
-            }
-        }
         let topology = Topology::uniform(LinkModel::ideal().with_chunk_loss(0.4));
         let net = MemTransport::with_options(topology, 0.0, Duration::from_secs(5));
-        net.register(s(2), Arc::new(Chunky));
+        net.register(s(2), Arc::new(ChunkEcho(50)));
         let mut delivered = 0usize;
         let reply = net.call_stream(s(1), s(2), Bytes::from_static(b"t"), &mut |_| {
             delivered += 1
@@ -640,6 +509,32 @@ mod tests {
         assert!(reply.is_ok(), "terminal is not subject to chunk loss");
         assert!(delivered < 50, "some chunks must drop");
         assert!(delivered > 10, "most of the stream still lands: {delivered}");
+        net.shutdown();
+    }
+
+    #[test]
+    fn chunk_faults_follow_the_link_model() {
+        check_chunk_faults(|topology| {
+            MemTransport::with_options(topology, 0.0, Duration::from_secs(5))
+        });
+    }
+
+    #[test]
+    fn a_reply_slower_than_the_call_timeout_is_a_timeout() {
+        let net = MemTransport::with_options(Topology::default(), 0.0, Duration::from_millis(20));
+        net.register(
+            s(2),
+            Arc::new(|_f: SiteId, b: Bytes| -> Option<Bytes> {
+                std::thread::sleep(Duration::from_millis(100));
+                Some(b)
+            }),
+        );
+        let err = net.call(s(1), s(2), Bytes::from_static(b"slow")).unwrap_err();
+        assert_eq!(err, ObiError::Timeout { to: s(2) });
+        let err = net
+            .call_stream(s(1), s(2), Bytes::from_static(b"slow"), &mut |_| {})
+            .unwrap_err();
+        assert_eq!(err, ObiError::Timeout { to: s(2) });
         net.shutdown();
     }
 

@@ -6,11 +6,12 @@
 //! fixed seed, runs are fully deterministic — which is what the figure
 //! harness and the property tests rely on.
 
+use crate::leg::{ChunkReorder, Delay, Leg, Links, Verdict};
 use crate::link::Topology;
-use crate::trace::{NetEvent, NetEventKind, NetTrace};
+use crate::trace::NetTrace;
 use crate::transport::{MessageHandler, Transport};
 use bytes::Bytes;
-use obiwan_util::{Clock, DetRng, Metrics, ObiError, Result, SiteId};
+use obiwan_util::{Clock, Metrics, ObiError, Result, SiteId};
 use obiwan_util::sync::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -33,11 +34,9 @@ pub struct SimTransport {
 
 struct SimInner {
     clock: Clock,
-    topology: RwLock<Topology>,
+    /// Charges each leg's modeled delay to `clock`.
+    links: Links,
     handlers: RwLock<HashMap<SiteId, Arc<dyn MessageHandler>>>,
-    rng: Mutex<DetRng>,
-    trace: NetTrace,
-    metrics: Metrics,
     /// Scheduled connectivity changes, kept sorted by due time.
     schedule: Mutex<Vec<(u64, ScheduledChange)>>,
     /// One-way frames held back by a link's reorder lottery; they deliver
@@ -79,12 +78,9 @@ impl SimTransport {
     pub fn with_topology(clock: Clock, topology: Topology) -> Self {
         SimTransport {
             inner: Arc::new(SimInner {
+                links: Links::new(topology, DEFAULT_SEED, Delay::Charge(clock.clone())),
                 clock,
-                topology: RwLock::new(topology),
                 handlers: RwLock::new(HashMap::new()),
-                rng: Mutex::new(DetRng::new(DEFAULT_SEED)),
-                trace: NetTrace::new(),
-                metrics: Metrics::new(),
                 schedule: Mutex::new(Vec::new()),
                 held: Mutex::new(VecDeque::new()),
             }),
@@ -93,7 +89,7 @@ impl SimTransport {
 
     /// Replaces the deterministic seed used for jitter and loss sampling.
     pub fn reseed(&self, seed: u64) {
-        *self.inner.rng.lock() = DetRng::new(seed);
+        self.inner.links.reseed(seed);
     }
 
     /// The shared clock network time is charged to.
@@ -101,20 +97,20 @@ impl SimTransport {
         &self.inner.clock
     }
 
-    /// The event trace (disabled until `set_enabled(true)`).
+    /// The per-pair traffic counters (disabled until `set_enabled(true)`).
     pub fn trace(&self) -> &NetTrace {
-        &self.inner.trace
+        self.inner.links.trace()
     }
 
     /// Transport-level metrics (messages/bytes sent and received).
     pub fn metrics(&self) -> &Metrics {
-        &self.inner.metrics
+        self.inner.links.metrics()
     }
 
     /// Runs `f` with mutable access to the topology (set links, disconnect
     /// sites, create partitions).
     pub fn with_topology_mut<R>(&self, f: impl FnOnce(&mut Topology) -> R) -> R {
-        f(&mut self.inner.topology.write())
+        self.inner.links.with_topology_mut(f)
     }
 
     /// Convenience: disconnect `site` from everyone.
@@ -160,7 +156,7 @@ impl SimTransport {
                 continue;
             };
             // A late one-way frame that the link lost or refused is gone.
-            if let Ok(dup) = self.traverse(from, to, frame.len(), false) {
+            if let Ok(Verdict { dup, .. }) = self.leg(Leg::Request, from, to, frame.len()) {
                 handler.handle(from, frame.clone());
                 if dup {
                     handler.handle(from, frame);
@@ -192,8 +188,7 @@ impl SimTransport {
                 }
             };
             let Some(change) = change else { return };
-            let mut topology = self.inner.topology.write();
-            match change {
+            self.with_topology_mut(|topology| match change {
                 ScheduledChange::Disconnect(site) => topology.disconnect(site),
                 ScheduledChange::Reconnect(site) => topology.reconnect(site),
                 ScheduledChange::SetLink(a, b, link) => {
@@ -202,123 +197,20 @@ impl SimTransport {
                 ScheduledChange::SetPairState(from, to, state) => {
                     topology.set_pair_state(from, to, state)
                 }
-            }
+            });
         }
     }
 
-    /// Charges one leg's transfer time and loss lottery. On delivery,
-    /// returns whether the frame also came in duplicated (request legs
-    /// only: a duplicated reply is invisible to a synchronous caller).
-    fn traverse(&self, from: SiteId, to: SiteId, bytes: usize, is_reply: bool) -> Result<bool> {
+    /// One leg through the shared link model, once due scheduled changes
+    /// have applied.
+    fn leg(&self, leg: Leg, from: SiteId, to: SiteId, bytes: usize) -> Result<Verdict> {
         self.apply_due_changes();
-        let (delay, lost, dup) = {
-            let topology = self.inner.topology.read();
-            if !topology.is_up(from, to) {
-                self.inner.trace.record(NetEvent {
-                    at_nanos: self.inner.clock.virtual_nanos(),
-                    from,
-                    to,
-                    bytes,
-                    kind: NetEventKind::Refused,
-                    is_reply,
-                });
-                return Err(ObiError::Disconnected { from, to });
-            }
-            let link = topology.link(from, to);
-            let mut rng = self.inner.rng.lock();
-            (
-                link.transfer_time(bytes, &mut rng),
-                link.drops(&mut rng) || (is_reply && link.drops_reply(&mut rng)),
-                !is_reply && link.duplicates(&mut rng),
-            )
-        };
-        self.inner.clock.charge(delay);
-        self.inner.metrics.incr_messages_sent();
-        self.inner.metrics.add_bytes_sent(bytes as u64);
-        if lost {
-            self.inner.trace.record(NetEvent {
-                at_nanos: self.inner.clock.virtual_nanos(),
-                from,
-                to,
-                bytes,
-                kind: NetEventKind::Dropped,
-                is_reply,
-            });
-            return Err(ObiError::MessageLost { from, to });
-        }
-        self.inner.metrics.incr_messages_received();
-        self.inner.metrics.add_bytes_received(bytes as u64);
-        self.inner.trace.record(NetEvent {
-            at_nanos: self.inner.clock.virtual_nanos(),
-            from,
-            to,
-            bytes,
-            kind: NetEventKind::Delivered,
-            is_reply,
-        });
-        Ok(dup)
-    }
-
-    /// Charges one streamed reply chunk's physics and samples its fault
-    /// lottery. Returns `None` when the chunk is lost (or the link went
-    /// down mid-stream); on delivery, whether the chunk arrives duplicated
-    /// and whether it is held back past its successor.
-    fn traverse_chunk(&self, from: SiteId, to: SiteId, bytes: usize) -> Option<(bool, bool)> {
-        self.apply_due_changes();
-        let (delay, lost, dup, hold) = {
-            let topology = self.inner.topology.read();
-            if !topology.is_up(from, to) {
-                self.inner.trace.record(NetEvent {
-                    at_nanos: self.inner.clock.virtual_nanos(),
-                    from,
-                    to,
-                    bytes,
-                    kind: NetEventKind::Refused,
-                    is_reply: true,
-                });
-                return None;
-            }
-            let link = topology.link(from, to);
-            let mut rng = self.inner.rng.lock();
-            (
-                link.transfer_time(bytes, &mut rng),
-                link.drops(&mut rng) || link.drops_chunk(&mut rng),
-                link.duplicates_chunk(&mut rng),
-                link.reorders_chunk(&mut rng),
-            )
-        };
-        self.inner.clock.charge(delay);
-        self.inner.metrics.incr_messages_sent();
-        self.inner.metrics.add_bytes_sent(bytes as u64);
-        if lost {
-            self.inner.trace.record(NetEvent {
-                at_nanos: self.inner.clock.virtual_nanos(),
-                from,
-                to,
-                bytes,
-                kind: NetEventKind::Dropped,
-                is_reply: true,
-            });
-            return None;
-        }
-        self.inner.metrics.incr_messages_received();
-        self.inner.metrics.add_bytes_received(bytes as u64);
-        self.inner.trace.record(NetEvent {
-            at_nanos: self.inner.clock.virtual_nanos(),
-            from,
-            to,
-            bytes,
-            kind: NetEventKind::Delivered,
-            is_reply: true,
-        });
-        Some((dup, hold))
+        self.inner.links.leg(leg, from, to, bytes)
     }
 
     /// Samples the reorder lottery for a one-way frame `from -> to`.
     fn should_reorder(&self, from: SiteId, to: SiteId) -> bool {
-        let topology = self.inner.topology.read();
-        let link = topology.link(from, to);
-        link.reorders(&mut self.inner.rng.lock())
+        self.inner.links.sample(from, to, |link, rng| link.reorders(rng))
     }
 
     fn handler_for(&self, site: SiteId) -> Result<Arc<dyn MessageHandler>> {
@@ -344,7 +236,7 @@ impl Transport for SimTransport {
         let mut span = obiwan_util::trace::span(&self.inner.clock, "net.call").with_site(from);
         span.set_value(frame.len() as u64);
         let handler = self.handler_for(to)?;
-        let dup = self.traverse(from, to, frame.len(), false)?;
+        let Verdict { dup, .. } = self.leg(Leg::Request, from, to, frame.len())?;
         if dup {
             // The duplicate arrives first and its reply evaporates (the
             // synchronous caller only reads one). A reply-cache server
@@ -355,7 +247,7 @@ impl Transport for SimTransport {
         let reply = handler.handle(from, frame).ok_or_else(|| {
             ObiError::Internal(format!("site {to} produced no reply to a request"))
         })?;
-        self.traverse(to, from, reply.len(), true)?;
+        self.leg(Leg::Reply, to, from, reply.len())?;
         self.flush_reordered();
         Ok(reply)
     }
@@ -370,7 +262,7 @@ impl Transport for SimTransport {
         let mut span = obiwan_util::trace::span(&self.inner.clock, "net.call").with_site(from);
         span.set_value(frame.len() as u64);
         let handler = self.handler_for(to)?;
-        let dup = self.traverse(from, to, frame.len(), false)?;
+        let Verdict { dup, .. } = self.leg(Leg::Request, from, to, frame.len())?;
         if dup {
             // The duplicated request opens a whole stream whose frames a
             // synchronous caller never reads: they evaporate into a null
@@ -378,40 +270,17 @@ impl Transport for SimTransport {
             // hazard, stream edition.
             let _ = handler.handle_stream(from, frame.clone(), &mut |_| {});
         }
-        // Each chunk rides the reply link with its own fault lottery; at
-        // most one chunk is held back at a time, delivering after its
-        // successor (pairwise reordering, like the one-way `held` queue).
-        let mut held: Option<Bytes> = None;
-        let reply = {
-            let mut sink = |chunk: Bytes| {
-                let Some((dup, hold)) = self.traverse_chunk(to, from, chunk.len()) else {
-                    return; // lost: the hole surfaces at the terminal frame
-                };
-                if hold {
-                    if let Some(prev) = held.replace(chunk) {
-                        on_frame(prev);
-                    }
-                } else {
-                    on_frame(chunk.clone());
-                    if dup {
-                        on_frame(chunk);
-                    }
-                    if let Some(prev) = held.take() {
-                        on_frame(prev);
-                    }
-                }
-            };
-            handler.handle_stream(from, frame, &mut sink)
-        }
-        .ok_or_else(|| {
+        // Each chunk rides the reply link with its own fault lottery.
+        let mut chunks = ChunkReorder::new(on_frame);
+        let reply = handler.handle_stream(from, frame, &mut |chunk: Bytes| {
+            let leg = self.leg(Leg::Chunk, to, from, chunk.len());
+            chunks.deliver(chunk, leg);
+        });
+        chunks.finish();
+        let reply = reply.ok_or_else(|| {
             ObiError::Internal(format!("site {to} produced no reply to a request"))
         })?;
-        // A chunk still held when the stream closes arrives before the
-        // terminal frame (nothing later remains to overtake it).
-        if let Some(prev) = held.take() {
-            on_frame(prev);
-        }
-        self.traverse(to, from, reply.len(), true)?;
+        self.leg(Leg::Reply, to, from, reply.len())?;
         self.flush_reordered();
         Ok(reply)
     }
@@ -427,8 +296,8 @@ impl Transport for SimTransport {
             self.inner.held.lock().push_back((from, to, frame));
             return Ok(());
         }
-        match self.traverse(from, to, frame.len(), false) {
-            Ok(dup) => {
+        match self.leg(Leg::Request, from, to, frame.len()) {
+            Ok(Verdict { dup, .. }) => {
                 handler.handle(from, frame.clone());
                 if dup {
                     handler.handle(from, frame);
@@ -444,7 +313,7 @@ impl Transport for SimTransport {
 
     fn is_reachable(&self, from: SiteId, to: SiteId) -> bool {
         self.apply_due_changes();
-        self.inner.handlers.read().contains_key(&to) && self.inner.topology.read().is_up(from, to)
+        self.inner.handlers.read().contains_key(&to) && self.inner.links.is_up(from, to)
     }
 }
 
@@ -455,6 +324,8 @@ const DEFAULT_SEED: u64 = 0x0B1A_57ED_0000_CAFE;
 mod tests {
     use super::*;
     use crate::conditions;
+    use crate::leg::tests::{check_chunk_faults, ChunkEcho};
+    use crate::trace::PairStats;
     use obiwan_util::{ClockMode, ObjId};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
@@ -635,14 +506,30 @@ mod tests {
     fn trace_records_request_and_reply_legs() {
         let net = transport();
         net.trace().set_enabled(true);
-        net.register(s(2), Arc::new(Echo));
+        net.register(
+            s(2),
+            Arc::new(|_from: SiteId, _frame: Bytes| -> Option<Bytes> {
+                Some(Bytes::from_static(b"hello"))
+            }),
+        );
         net.call(s(1), s(2), Bytes::from_static(b"abc")).unwrap();
-        let events = net.trace().events();
-        assert_eq!(events.len(), 2);
-        assert!(!events[0].is_reply);
-        assert!(events[1].is_reply);
-        assert_eq!(events[0].bytes, 3);
-        assert_eq!(events[0].kind, NetEventKind::Delivered);
+        net.disconnect(s(2));
+        assert!(net.call(s(1), s(2), Bytes::from_static(b"abc")).is_err());
+        let summary = net.trace().summary();
+        let request = PairStats {
+            delivered: 1,
+            bytes: 3,
+            dropped: 0,
+            refused: 1,
+        };
+        let reply = PairStats {
+            delivered: 1,
+            bytes: 5,
+            ..PairStats::default()
+        };
+        assert_eq!(summary.pair(s(1), s(2)), request);
+        assert_eq!(summary.pair(s(2), s(1)), reply);
+        assert_eq!(summary.total_delivered(), 2);
     }
 
     #[test]
@@ -747,26 +634,6 @@ mod tests {
         assert_eq!(hits.load(Ordering::SeqCst), 4);
     }
 
-    /// Streams `n` one-byte chunks (values `0..n`) then echoes the request
-    /// as the terminal reply.
-    struct ChunkEcho(u8);
-    impl MessageHandler for ChunkEcho {
-        fn handle(&self, _from: SiteId, frame: Bytes) -> Option<Bytes> {
-            Some(frame)
-        }
-        fn handle_stream(
-            &self,
-            _from: SiteId,
-            frame: Bytes,
-            sink: &mut dyn FnMut(Bytes),
-        ) -> Option<Bytes> {
-            for i in 0..self.0 {
-                sink(Bytes::from(vec![i]));
-            }
-            Some(frame)
-        }
-    }
-
     #[test]
     fn call_stream_delivers_chunks_in_order_then_the_terminal() {
         let net = transport();
@@ -817,46 +684,10 @@ mod tests {
     }
 
     #[test]
-    fn chunk_duplication_delivers_copies_back_to_back() {
-        let net = transport();
-        net.register(s(2), Arc::new(ChunkEcho(3)));
-        net.with_topology_mut(|t| {
-            t.set_link_symmetric(
-                s(1),
-                s(2),
-                crate::link::LinkModel::ideal().with_chunk_duplicate(1.0),
-            );
+    fn chunk_faults_follow_the_link_model() {
+        check_chunk_faults(|topology| {
+            SimTransport::with_topology(Clock::new(ClockMode::VirtualOnly), topology)
         });
-        let mut chunks = Vec::new();
-        net.call_stream(s(1), s(2), Bytes::from_static(b"t"), &mut |c| {
-            chunks.push(c[0])
-        })
-        .unwrap();
-        assert_eq!(chunks, vec![0, 0, 1, 1, 2, 2]);
-    }
-
-    #[test]
-    fn chunk_reordering_swaps_neighbors_but_loses_nothing() {
-        let net = transport();
-        net.register(s(2), Arc::new(ChunkEcho(6)));
-        net.with_topology_mut(|t| {
-            t.set_link_symmetric(
-                s(1),
-                s(2),
-                crate::link::LinkModel::ideal().with_chunk_reorder(0.5),
-            );
-        });
-        net.reseed(3);
-        let mut chunks = Vec::new();
-        net.call_stream(s(1), s(2), Bytes::from_static(b"t"), &mut |c| {
-            chunks.push(c[0])
-        })
-        .unwrap();
-        // Every chunk arrives exactly once, just not necessarily in order.
-        let mut sorted = chunks.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3, 4, 5]);
-        assert_ne!(chunks, sorted, "seed 3 must actually reorder something");
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //! enforced at the sender *and* receiver, so tests can cut a site off
 //! without tearing sockets down.
 
+use crate::leg::{Delay, Links};
 use crate::link::Topology;
-use crate::trace::{NetEvent, NetEventKind, NetTrace};
+use crate::trace::{Fate, NetTrace};
 use crate::transport::{MessageHandler, Transport};
 use bytes::Bytes;
 use obiwan_util::{Metrics, ObiError, Result, SiteId};
@@ -78,9 +79,9 @@ struct TcpInner {
     handlers: RwLock<HashMap<SiteId, Arc<dyn MessageHandler>>>,
     listeners: Mutex<HashMap<SiteId, ListenerHandle>>,
     pool: Mutex<HashMap<SiteId, Vec<TcpStream>>>,
-    topology: RwLock<Topology>,
-    trace: NetTrace,
-    metrics: Metrics,
+    /// Only the administrative topology and the traffic recorder apply:
+    /// real sockets supply their own delay and loss.
+    links: Links,
     io_timeout: Duration,
 }
 
@@ -140,9 +141,7 @@ impl TcpTransport {
                 handlers: RwLock::new(HashMap::new()),
                 listeners: Mutex::new(HashMap::new()),
                 pool: Mutex::new(HashMap::new()),
-                topology: RwLock::new(Topology::default()),
-                trace: NetTrace::new(),
-                metrics: Metrics::new(),
+                links: Links::new(Topology::default(), 0, Delay::Sleep(0.0)),
                 io_timeout,
             }),
         }
@@ -160,19 +159,19 @@ impl TcpTransport {
         self.inner.addresses.write().insert(site, addr);
     }
 
-    /// The event trace (disabled until `set_enabled(true)`).
+    /// The per-pair traffic counters (disabled until `set_enabled(true)`).
     pub fn trace(&self) -> &NetTrace {
-        &self.inner.trace
+        self.inner.links.trace()
     }
 
     /// Transport-level metrics.
     pub fn metrics(&self) -> &Metrics {
-        &self.inner.metrics
+        self.inner.links.metrics()
     }
 
     /// Runs `f` with mutable access to the (administrative) topology.
     pub fn with_topology_mut<R>(&self, f: impl FnOnce(&mut Topology) -> R) -> R {
-        f(&mut self.inner.topology.write())
+        self.inner.links.with_topology_mut(f)
     }
 
     /// Convenience: administratively disconnect `site`.
@@ -244,22 +243,6 @@ impl TcpTransport {
         }
     }
 
-    fn check_up(&self, from: SiteId, to: SiteId) -> Result<()> {
-        if self.inner.topology.read().is_up(from, to) {
-            Ok(())
-        } else {
-            self.inner.trace.record(NetEvent {
-                at_nanos: 0,
-                from,
-                to,
-                bytes: 0,
-                kind: NetEventKind::Refused,
-                is_reply: false,
-            });
-            Err(ObiError::Disconnected { from, to })
-        }
-    }
-
     fn send_frame(
         &self,
         stream: &mut TcpStream,
@@ -283,12 +266,11 @@ impl TcpTransport {
             .write_all(&header)
             .and_then(|()| stream.write_all(frame))
             .map_err(|e| classify_io(e.kind(), to))?;
-        self.inner.metrics.incr_messages_sent();
-        self.inner.metrics.add_bytes_sent(frame.len() as u64);
+        self.inner.links.record(from, to, frame.len(), Fate::Sent);
         Ok(())
     }
 
-    fn read_reply(&self, stream: &mut TcpStream, to: SiteId) -> Result<Bytes> {
+    fn read_reply(&self, stream: &mut TcpStream, from: SiteId, to: SiteId) -> Result<Bytes> {
         let mut len_buf = [0u8; 4];
         stream
             .read_exact(&mut len_buf)
@@ -301,13 +283,17 @@ impl TcpTransport {
         stream
             .read_exact(&mut payload)
             .map_err(|e| classify_io(e.kind(), to))?;
-        self.inner.metrics.incr_messages_received();
-        self.inner.metrics.add_bytes_received(u64::from(len));
+        self.inner.links.record(to, from, payload.len(), Fate::Delivered);
         Ok(Bytes::from(payload))
     }
 
     /// Reads one kind-tagged reply frame of a streamed exchange.
-    fn read_stream_frame(&self, stream: &mut TcpStream, to: SiteId) -> Result<(u8, Bytes)> {
+    fn read_stream_frame(
+        &self,
+        stream: &mut TcpStream,
+        from: SiteId,
+        to: SiteId,
+    ) -> Result<(u8, Bytes)> {
         let mut header = [0u8; 5];
         stream
             .read_exact(&mut header)
@@ -328,8 +314,7 @@ impl TcpTransport {
         stream
             .read_exact(&mut payload)
             .map_err(|e| classify_io(e.kind(), to))?;
-        self.inner.metrics.incr_messages_received();
-        self.inner.metrics.add_bytes_received(u64::from(len));
+        self.inner.links.record(to, from, payload.len(), Fate::Delivered);
         Ok((frame_kind, Bytes::from(payload)))
     }
 }
@@ -375,7 +360,7 @@ fn serve_connection(inner: &Arc<TcpInner>, site: SiteId, mut stream: TcpStream) 
             Ok(None) | Err(_) => return,
         };
         // Administrative disconnection applies at the receiver too.
-        if !inner.topology.read().is_up(from, site) {
+        if !inner.links.is_up(from, site) {
             // For calls the peer is waiting: answer with a zero-length
             // reply is ambiguous, so just drop the connection; the caller
             // maps the I/O error to unreachable.
@@ -385,16 +370,7 @@ fn serve_connection(inner: &Arc<TcpInner>, site: SiteId, mut stream: TcpStream) 
             Some(h) => h,
             None => return,
         };
-        inner.metrics.incr_messages_received();
-        inner.metrics.add_bytes_received(payload.len() as u64);
-        inner.trace.record(NetEvent {
-            at_nanos: 0,
-            from,
-            to: site,
-            bytes: payload.len(),
-            kind: NetEventKind::Delivered,
-            is_reply: false,
-        });
+        inner.links.record(from, site, payload.len(), Fate::Delivered);
         if kind == KIND_STREAM_CALL {
             // Streamed reply: every chunk goes out as it is produced, then
             // the terminal `done` frame. A failed write poisons the
@@ -408,16 +384,14 @@ fn serve_connection(inner: &Arc<TcpInner>, site: SiteId, mut stream: TcpStream) 
                 if write_stream_frame(&mut stream, FRAME_CHUNK, &chunk).is_err() {
                     failed = true;
                 } else {
-                    inner.metrics.incr_messages_sent();
-                    inner.metrics.add_bytes_sent(chunk.len() as u64);
+                    inner.links.record(site, from, chunk.len(), Fate::Sent);
                 }
             });
             let reply = reply.unwrap_or_default();
             if failed || write_stream_frame(&mut stream, FRAME_DONE, &reply).is_err() {
                 return;
             }
-            inner.metrics.incr_messages_sent();
-            inner.metrics.add_bytes_sent(reply.len() as u64);
+            inner.links.record(site, from, reply.len(), Fate::Sent);
             continue;
         }
         let reply = handler.handle(from, Bytes::from(payload));
@@ -432,8 +406,7 @@ fn serve_connection(inner: &Arc<TcpInner>, site: SiteId, mut stream: TcpStream) 
             {
                 return;
             }
-            inner.metrics.incr_messages_sent();
-            inner.metrics.add_bytes_sent(reply.len() as u64);
+            inner.links.record(site, from, reply.len(), Fate::Sent);
         }
     }
 }
@@ -498,10 +471,10 @@ impl Transport for TcpTransport {
     }
 
     fn call(&self, from: SiteId, to: SiteId, frame: Bytes) -> Result<Bytes> {
-        self.check_up(from, to)?;
+        self.inner.links.check_up(from, to, frame.len())?;
         let mut stream = self.checkout(to)?;
         self.send_frame(&mut stream, KIND_CALL, from, &frame, to)?;
-        match self.read_reply(&mut stream, to) {
+        match self.read_reply(&mut stream, from, to) {
             Ok(reply) => {
                 self.checkin(to, stream);
                 Ok(reply)
@@ -517,11 +490,11 @@ impl Transport for TcpTransport {
         frame: Bytes,
         on_frame: &mut dyn FnMut(Bytes),
     ) -> Result<Bytes> {
-        self.check_up(from, to)?;
+        self.inner.links.check_up(from, to, frame.len())?;
         let mut stream = self.checkout(to)?;
         self.send_frame(&mut stream, KIND_STREAM_CALL, from, &frame, to)?;
         loop {
-            match self.read_stream_frame(&mut stream, to) {
+            match self.read_stream_frame(&mut stream, from, to) {
                 Ok((FRAME_DONE, payload)) => {
                     self.checkin(to, stream);
                     return Ok(payload);
@@ -533,7 +506,7 @@ impl Transport for TcpTransport {
     }
 
     fn cast(&self, from: SiteId, to: SiteId, frame: Bytes) -> Result<()> {
-        self.check_up(from, to)?;
+        self.inner.links.check_up(from, to, frame.len())?;
         let mut stream = self.checkout(to)?;
         self.send_frame(&mut stream, KIND_CAST, from, &frame, to)?;
         self.checkin(to, stream);
@@ -542,7 +515,7 @@ impl Transport for TcpTransport {
 
     fn is_reachable(&self, from: SiteId, to: SiteId) -> bool {
         self.inner.addresses.read().contains_key(&to)
-            && self.inner.topology.read().is_up(from, to)
+            && self.inner.links.is_up(from, to)
     }
 }
 
@@ -638,6 +611,39 @@ mod tests {
         // The pooled connection survives the stream: a plain call reuses it.
         let reply = net.call(s(1), s(2), Bytes::from_static(b"again")).unwrap();
         assert_eq!(&reply[..], b"again");
+        net.shutdown();
+    }
+
+    #[test]
+    fn trace_counts_every_frame_per_pair() {
+        struct TwoChunks;
+        impl MessageHandler for TwoChunks {
+            fn handle(&self, _from: SiteId, frame: Bytes) -> Option<Bytes> {
+                Some(frame)
+            }
+            fn handle_stream(
+                &self,
+                _from: SiteId,
+                frame: Bytes,
+                sink: &mut dyn FnMut(Bytes),
+            ) -> Option<Bytes> {
+                sink(Bytes::from_static(b"c1"));
+                sink(Bytes::from_static(b"c2"));
+                Some(frame)
+            }
+        }
+        let net = TcpTransport::new();
+        net.register(s(2), Arc::new(TwoChunks));
+        net.trace().set_enabled(true);
+        net.call(s(1), s(2), Bytes::from_static(b"call")).unwrap();
+        net.call_stream(s(1), s(2), Bytes::from_static(b"stream"), &mut |_| {})
+            .unwrap();
+        let summary = net.trace().summary();
+        // Two requests one way; one reply, two chunks and a done frame back.
+        assert_eq!(summary.pair(s(1), s(2)).delivered, 2);
+        assert_eq!(summary.pair(s(1), s(2)).bytes, 4 + 6);
+        assert_eq!(summary.pair(s(2), s(1)).delivered, 1 + 2 + 1);
+        assert_eq!(summary.pair(s(2), s(1)).bytes, 4 + 2 + 2 + 6);
         net.shutdown();
     }
 

@@ -1,20 +1,22 @@
-//! In-memory network event trace.
+//! Per-pair network traffic counters.
 //!
-//! When enabled, the transports record every frame delivery, drop and
-//! refusal with its virtual timestamp. Tests use the trace to assert
+//! When enabled, the transports count every frame delivery, drop and
+//! refusal per directed site pair. Tests use the counters to assert
 //! protocol behaviour ("exactly one GetRequest crossed the wire"); the
-//! benchmark harness uses it to report message counts per experiment.
+//! benchmark harness uses them to report message counts per experiment.
 
 use obiwan_util::SiteId;
 use obiwan_util::sync::Mutex;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
-/// What happened to a frame.
+/// What happened to one frame, as the transports report it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetEventKind {
-    /// Delivered to the destination handler.
+pub(crate) enum Fate {
+    /// Left the sender; counted in the metrics totals only.
+    Sent,
+    /// Delivered to the destination.
     Delivered,
     /// Dropped by a lossy link.
     Dropped,
@@ -22,65 +24,32 @@ pub enum NetEventKind {
     Refused,
 }
 
-impl fmt::Display for NetEventKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            NetEventKind::Delivered => "delivered",
-            NetEventKind::Dropped => "dropped",
-            NetEventKind::Refused => "refused",
-        };
-        f.write_str(s)
-    }
-}
-
-/// One traced network event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NetEvent {
-    /// Virtual time at which the event completed, in nanoseconds.
-    pub at_nanos: u64,
-    /// Sender.
-    pub from: SiteId,
-    /// Destination.
-    pub to: SiteId,
-    /// Frame size in bytes.
-    pub bytes: usize,
-    /// Outcome.
-    pub kind: NetEventKind,
-    /// True for the reply leg of a `call`.
-    pub is_reply: bool,
-}
-
-/// A shared, optionally enabled event recorder.
+/// Optionally enabled per-pair traffic counters.
 ///
-/// Disabled by default; recording costs one branch per frame when off.
+/// Disabled by default; counting costs one branch per frame when off, and
+/// memory stays bounded by the number of site pairs when on.
 ///
 /// # Examples
 ///
 /// ```
-/// use obiwan_net::{NetTrace, NetEvent, NetEventKind};
-/// use obiwan_util::SiteId;
+/// use obiwan_net::{SimTransport, LinkModel, Transport};
+/// use obiwan_util::{Clock, ClockMode, SiteId};
+/// use bytes::Bytes;
+/// use std::sync::Arc;
 ///
-/// let trace = NetTrace::new();
-/// trace.set_enabled(true);
-/// trace.record(NetEvent {
-///     at_nanos: 5,
-///     from: SiteId::new(1),
-///     to: SiteId::new(2),
-///     bytes: 64,
-///     kind: NetEventKind::Delivered,
-///     is_reply: false,
-/// });
-/// assert_eq!(trace.events().len(), 1);
+/// let net = SimTransport::new(Clock::new(ClockMode::VirtualOnly), LinkModel::ideal());
+/// let (s1, s2) = (SiteId::new(1), SiteId::new(2));
+/// net.register(s2, Arc::new(|_: SiteId, f: Bytes| -> Option<Bytes> { Some(f) }));
+/// net.trace().set_enabled(true);
+/// net.call(s1, s2, Bytes::from_static(b"ping")).unwrap();
+/// let summary = net.trace().summary();
+/// assert_eq!(summary.pair(s1, s2).delivered, 1);
+/// assert_eq!(summary.pair(s2, s1).bytes, 4);
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct NetTrace {
-    inner: Arc<TraceInner>,
-}
-
 #[derive(Debug, Default)]
-struct TraceInner {
+pub struct NetTrace {
     enabled: AtomicBool,
-    events: Mutex<Vec<NetEvent>>,
+    pairs: Mutex<BTreeMap<(SiteId, SiteId), PairStats>>,
 }
 
 impl NetTrace {
@@ -89,64 +58,39 @@ impl NetTrace {
         NetTrace::default()
     }
 
-    /// Enables or disables recording.
+    /// Enables or disables counting.
     pub fn set_enabled(&self, on: bool) {
-        self.inner.enabled.store(on, Ordering::Relaxed);
+        self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// True when recording.
+    /// True when counting.
     pub fn is_enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
+        self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Records an event (no-op while disabled).
-    pub fn record(&self, event: NetEvent) {
-        if self.is_enabled() {
-            self.inner.events.lock().push(event);
+    /// Counts one frame's fate on `from -> to` (no-op while disabled).
+    pub(crate) fn count(&self, from: SiteId, to: SiteId, bytes: usize, fate: Fate) {
+        if !self.is_enabled() {
+            return;
         }
-    }
-
-    /// Snapshot of all recorded events, in order.
-    pub fn events(&self) -> Vec<NetEvent> {
-        self.inner.events.lock().clone()
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.inner.events.lock().len()
-    }
-
-    /// True when no events have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Clears all recorded events.
-    pub fn clear(&self) {
-        self.inner.events.lock().clear();
-    }
-
-    /// Count of events matching a predicate.
-    pub fn count_where(&self, pred: impl Fn(&NetEvent) -> bool) -> usize {
-        self.inner.events.lock().iter().filter(|e| pred(e)).count()
-    }
-
-    /// Aggregates the recorded events per directed site pair.
-    pub fn summary(&self) -> TraceSummary {
-        let mut pairs: std::collections::BTreeMap<(SiteId, SiteId), PairStats> =
-            std::collections::BTreeMap::new();
-        for e in self.inner.events.lock().iter() {
-            let stats = pairs.entry((e.from, e.to)).or_default();
-            match e.kind {
-                NetEventKind::Delivered => {
-                    stats.delivered += 1;
-                    stats.bytes += e.bytes as u64;
-                }
-                NetEventKind::Dropped => stats.dropped += 1,
-                NetEventKind::Refused => stats.refused += 1,
+        let mut pairs = self.pairs.lock();
+        let stats = pairs.entry((from, to)).or_default();
+        match fate {
+            Fate::Delivered => {
+                stats.delivered += 1;
+                stats.bytes += bytes as u64;
             }
+            Fate::Dropped => stats.dropped += 1,
+            Fate::Refused => stats.refused += 1,
+            Fate::Sent => {}
         }
-        TraceSummary { pairs }
+    }
+
+    /// The counters per directed site pair.
+    pub fn summary(&self) -> TraceSummary {
+        TraceSummary {
+            pairs: self.pairs.lock().clone(),
+        }
     }
 }
 
@@ -168,7 +112,7 @@ pub struct PairStats {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceSummary {
     /// Stats per `(from, to)` pair, ordered.
-    pub pairs: std::collections::BTreeMap<(SiteId, SiteId), PairStats>,
+    pub pairs: BTreeMap<(SiteId, SiteId), PairStats>,
 }
 
 impl TraceSummary {
@@ -205,94 +149,38 @@ impl fmt::Display for TraceSummary {
 mod tests {
     use super::*;
 
-    fn ev(kind: NetEventKind) -> NetEvent {
-        NetEvent {
-            at_nanos: 1,
-            from: SiteId::new(1),
-            to: SiteId::new(2),
-            bytes: 10,
-            kind,
-            is_reply: false,
-        }
+    fn s(n: u32) -> SiteId {
+        SiteId::new(n)
     }
 
     #[test]
-    fn disabled_trace_records_nothing() {
+    fn disabled_trace_counts_nothing() {
         let t = NetTrace::new();
-        t.record(ev(NetEventKind::Delivered));
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn enabled_trace_records_in_order() {
-        let t = NetTrace::new();
-        t.set_enabled(true);
-        t.record(ev(NetEventKind::Delivered));
-        t.record(ev(NetEventKind::Dropped));
-        let events = t.events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].kind, NetEventKind::Delivered);
-        assert_eq!(events[1].kind, NetEventKind::Dropped);
-    }
-
-    #[test]
-    fn count_where_filters() {
-        let t = NetTrace::new();
-        t.set_enabled(true);
-        for _ in 0..3 {
-            t.record(ev(NetEventKind::Delivered));
-        }
-        t.record(ev(NetEventKind::Refused));
-        assert_eq!(t.count_where(|e| e.kind == NetEventKind::Delivered), 3);
-        assert_eq!(t.count_where(|e| e.kind == NetEventKind::Refused), 1);
-    }
-
-    #[test]
-    fn clear_resets_and_clones_share() {
-        let t = NetTrace::new();
-        t.set_enabled(true);
-        let t2 = t.clone();
-        t2.record(ev(NetEventKind::Delivered));
-        assert_eq!(t.len(), 1);
-        t.clear();
-        assert!(t2.is_empty());
+        t.count(s(1), s(2), 10, Fate::Delivered);
+        assert_eq!(t.summary(), TraceSummary::default());
     }
 
     #[test]
     fn summary_aggregates_per_pair() {
         let t = NetTrace::new();
         t.set_enabled(true);
-        let mk = |from: u32, to: u32, bytes: usize, kind| NetEvent {
-            at_nanos: 0,
-            from: SiteId::new(from),
-            to: SiteId::new(to),
-            bytes,
-            kind,
-            is_reply: false,
-        };
-        t.record(mk(1, 2, 10, NetEventKind::Delivered));
-        t.record(mk(1, 2, 20, NetEventKind::Delivered));
-        t.record(mk(2, 1, 5, NetEventKind::Delivered));
-        t.record(mk(1, 2, 99, NetEventKind::Dropped));
-        t.record(mk(1, 3, 0, NetEventKind::Refused));
-        let s = t.summary();
-        let p12 = s.pair(SiteId::new(1), SiteId::new(2));
+        t.count(s(1), s(2), 10, Fate::Delivered);
+        t.count(s(1), s(2), 20, Fate::Delivered);
+        t.count(s(1), s(2), 20, Fate::Sent);
+        t.count(s(2), s(1), 5, Fate::Delivered);
+        t.count(s(1), s(2), 99, Fate::Dropped);
+        t.count(s(1), s(3), 0, Fate::Refused);
+        let summary = t.summary();
+        let p12 = summary.pair(s(1), s(2));
         assert_eq!(p12.delivered, 2);
         assert_eq!(p12.bytes, 30);
         assert_eq!(p12.dropped, 1);
-        assert_eq!(s.pair(SiteId::new(1), SiteId::new(3)).refused, 1);
-        assert_eq!(s.total_delivered(), 3);
-        assert_eq!(s.total_bytes(), 35);
+        assert_eq!(summary.pair(s(1), s(3)).refused, 1);
+        assert_eq!(summary.total_delivered(), 3);
+        assert_eq!(summary.total_bytes(), 35);
         // Unknown pair is all zeroes.
-        assert_eq!(s.pair(SiteId::new(9), SiteId::new(9)), PairStats::default());
+        assert_eq!(summary.pair(s(9), s(9)), PairStats::default());
         // Display renders one line per pair.
-        assert_eq!(s.to_string().lines().count(), 3);
-    }
-
-    #[test]
-    fn kind_display() {
-        assert_eq!(NetEventKind::Delivered.to_string(), "delivered");
-        assert_eq!(NetEventKind::Dropped.to_string(), "dropped");
-        assert_eq!(NetEventKind::Refused.to_string(), "refused");
+        assert_eq!(summary.to_string().lines().count(), 3);
     }
 }

@@ -95,15 +95,10 @@ impl RmiClient {
         }
     }
 
-    /// Sets how many times requests are retried after a lost message or
-    /// timeout. Applies to *all* requests — the server's reply cache makes
+    /// Replaces the whole retry policy (retries, deadline budget, backoff).
+    /// Retries apply to *all* requests — the server's reply cache makes
     /// retrying mutating requests (`invoke`, `put`) safe, with
     /// exactly-once effect.
-    pub fn set_retries(&self, retries: u64) {
-        self.policy.lock().max_retries = retries;
-    }
-
-    /// Replaces the whole retry policy (retries, deadline budget, backoff).
     pub fn set_rpc_policy(&self, policy: RetryPolicy) {
         *self.policy.lock() = policy;
     }
@@ -827,7 +822,10 @@ mod retry_tests {
     #[test]
     fn requests_retry_through_moderate_loss() {
         let (client, _net, _clock, _svc) = lossy_rig(0.3);
-        client.set_retries(10);
+        client.set_rpc_policy(RetryPolicy {
+            max_retries: 10,
+            ..RetryPolicy::default()
+        });
         // 50 pings through a 30%-lossy link: with 10 retries each, failure
         // odds are ~1e-13 per ping.
         for _ in 0..50 {
@@ -839,7 +837,10 @@ mod retry_tests {
     #[test]
     fn mutating_invokes_retry_with_exactly_once_effect() {
         let (client, _net, _clock, svc) = lossy_rig(0.3);
-        client.set_retries(10);
+        client.set_rpc_policy(RetryPolicy {
+            max_retries: 10,
+            ..RetryPolicy::default()
+        });
         let target = RemoteRef::to_master(ObjId::new(SiteId::new(2), 1));
         // The reply carries the service's execution count: if a retry ever
         // re-executed (instead of hitting the reply cache), some reply
@@ -854,7 +855,10 @@ mod retry_tests {
     #[test]
     fn zero_retries_fail_fast_on_total_loss() {
         let (client, _net, _clock, _svc) = lossy_rig(1.0);
-        client.set_retries(0);
+        client.set_rpc_policy(RetryPolicy {
+            max_retries: 0,
+            ..RetryPolicy::default()
+        });
         assert!(matches!(
             client.ping(SiteId::new(2)),
             Err(ObiError::MessageLost { .. })
@@ -864,7 +868,10 @@ mod retry_tests {
     #[test]
     fn retries_do_not_mask_disconnection() {
         let (client, net, _clock, _svc) = lossy_rig(0.0);
-        client.set_retries(10);
+        client.set_rpc_policy(RetryPolicy {
+            max_retries: 10,
+            ..RetryPolicy::default()
+        });
         net.disconnect(SiteId::new(2));
         let err = client.ping(SiteId::new(2)).unwrap_err();
         assert!(matches!(err, ObiError::Disconnected { .. }));
@@ -1055,7 +1062,10 @@ mod retry_tests {
             LinkModel::ideal().with_chunk_loss(0.3),
             11,
         );
-        client.set_retries(50);
+        client.set_rpc_policy(RetryPolicy {
+            max_retries: 50,
+            ..RetryPolicy::default()
+        });
         let (indices, ids, frontier_edges) = collect_chunks(&client, 64);
         // Exactly-once reassembly: every chunk delivered once, in order,
         // despite 30% of individual chunk frames vanishing.
@@ -1203,7 +1213,10 @@ mod retry_tests {
             }),
         );
         let client = RmiClient::new(SiteId::new(1), net, clock, CostModel::free());
-        client.set_retries(3);
+        client.set_rpc_policy(RetryPolicy {
+            max_retries: 3,
+            ..RetryPolicy::default()
+        });
         client
     }
 
@@ -1290,7 +1303,10 @@ mod retry_tests {
             .unwrap();
         net.register(SiteId::new(0), Arc::new(RmiServer::new(ns.clone())));
         let client = RmiClient::new(SiteId::new(1), net.clone(), clock, CostModel::free());
-        client.set_retries(20);
+        client.set_rpc_policy(RetryPolicy {
+            max_retries: 20,
+            ..RetryPolicy::default()
+        });
         let info = client.join(SiteId::new(0)).expect("join retries through loss");
         assert!(info.peers.is_empty());
         assert_eq!(info.names.len(), 1);
